@@ -19,6 +19,7 @@ from .errors import (
 )
 from .estimate import EstimateResult, estimate_correlation
 from .losses import (
+    AngleObjective,
     DataMatrix,
     LossSpec,
     iqr_threshold,
@@ -42,6 +43,7 @@ from .manifold import (
     cholesky_rows,
     corr_to_angles,
     default_angle_box,
+    factor_row,
     minimize_over_corr,
 )
 from .optimizer import (
@@ -73,12 +75,12 @@ __all__ = [
     "ConfigError", "DegenerateDataError", "DomainMismatchError", "GlasdError",
     "MalformedDataError", "NotPositiveDefiniteError", "ObjectiveEvaluationError",
     "EstimateResult", "estimate_correlation",
-    "DataMatrix", "LossSpec", "iqr_threshold", "loss_gaussian", "loss_robust",
+    "AngleObjective", "DataMatrix", "LossSpec", "iqr_threshold", "loss_gaussian", "loss_robust",
     "loss_robust_from_factor", "mahalanobis_sq_all", "outlier_report",
     "read_data_csv", "resolve_threshold", "rho_huber", "rho_truncated",
     "rho_tukey", "sample_correlation", "shrink_to_pd", "standardize_columns",
     "angle_dim", "angles_to_corr", "cholesky_rows", "corr_to_angles",
-    "default_angle_box", "minimize_over_corr",
+    "default_angle_box", "factor_row", "minimize_over_corr",
     "BoxDomain", "OptimizerConfig", "RunRecord", "acceptance_prob",
     "asd_minimize", "clip_step", "glasd_minimize", "multi_start_minimize",
     "random_search_minimize",

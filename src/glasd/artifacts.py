@@ -197,6 +197,11 @@ def load_scenario_config(path) -> ScenarioSpec:
     opt = (_parse_section(parser["optimizer"], _OPTIMIZER_KEYS, "optimizer")
            if "optimizer" in parser else {})
 
+    if "seed" in opt:
+        raise ConfigError(
+            "seed is not allowed in a scenario's [optimizer] section; the search "
+            "seeds derive from [scenario] master_seed"
+        )
     if "kind" not in st:
         raise ConfigError("structure section needs a 'kind'")
     if "p" not in sc or "n" not in sc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -371,6 +372,8 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:  # runtime failure of any other kind
         print(f"error: {exc}", file=sys.stderr)
+        if args.verbose:
+            traceback.print_exc(file=sys.stderr)
         return 1
 
 

@@ -13,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (
-    LossSpec,
-    iqr_threshold,
-    loss_robust,
-    loss_robust_from_factor,
-    mahalanobis_sq_all,
-    pilot_correlation,
-    resolved_spec,
-)
-from .manifold import corr_to_angles, minimize_over_corr
-from .optimizer import OptimizerConfig, RunRecord
+from .losses import AngleObjective, LossSpec, pilot_correlation, resolved_spec
+from .manifold import angles_to_corr, corr_to_angles, default_angle_box
+from .optimizer import OptimizerConfig, RunRecord, multi_start_minimize
 
 
 @dataclass(frozen=True)
@@ -64,18 +56,12 @@ def estimate_correlation(
     if master_seed is None:
         master_seed = int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
 
-    corr, records = minimize_over_corr(
-        lambda C: loss_robust(X_std, C, spec),
-        p, config=config, n_starts=n_starts,
-        master_seed=master_seed, warm_start=warm,
-        loss_on_factor=lambda L: loss_robust_from_factor(X_std, L, spec),
+    objective = AngleObjective(X_std, spec)
+    records = multi_start_minimize(
+        objective, default_angle_box(p), config=config, n_starts=n_starts,
+        master_seed=master_seed, x0_first=warm,
     )
     best = min(records, key=lambda r: r.f_best)
-    if spec.kind == "gaussian":
-        thr = None
-    elif spec.threshold == "iqr-auto":
-        thr = iqr_threshold(mahalanobis_sq_all(X_std, corr), 3.0)
-    else:
-        thr = float(spec.threshold)
-    return EstimateResult(corr=corr, f_best=best.f_best, threshold=thr,
+    return EstimateResult(corr=angles_to_corr(best.x_best), f_best=best.f_best,
+                          threshold=objective.threshold_at(best.x_best),
                           records=records, seed=master_seed)

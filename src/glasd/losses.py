@@ -22,6 +22,18 @@ policies exist:
 * ``iqr-pilot``: the same rule evaluated once under a shrunk
   sample-correlation pilot and frozen for the whole optimization; kept for
   diagnostics and comparison.
+
+Both policies, and the reported threshold, use one quartile rule
+(:func:`iqr_threshold`).
+
+The search evaluates the objective as a function of the angle vector through
+:class:`AngleObjective`.  Each search proposal moves one angle, which changes
+one row of the factor, so a proposal costs O(pn): the row is rebuilt alone,
+and the whitened data ``L^{-1} X^T`` changes in that row plus a rank-one term
+in the rows below it.  A full evaluation (factor build plus an n p^2
+triangular solve) runs only at a new start or after a move in several
+angles.  :func:`loss_robust` and :func:`loss_robust_from_factor` are the
+reference evaluations.
 """
 
 from __future__ import annotations
@@ -32,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DegenerateDataError,
@@ -39,9 +53,15 @@ from .errors import (
     MalformedDataError,
     NotPositiveDefiniteError,
 )
+from .manifold import angle_dim, cholesky_rows, factor_row
 
 LOSS_KINDS = ("gaussian", "huber", "truncated", "tukey")
 THRESHOLD_POLICIES = ("iqr-auto", "iqr-pilot")
+# Rounding error in a column of L^{-1} X^T kept up to date by rank-one updates
+# scales with the largest d^2 the column held since the last full solve; when
+# that exceeds the current d^2 by more than this factor, the objective solves
+# afresh.
+GROWTH_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -126,8 +146,7 @@ def mahalanobis_sq_all(X, C) -> np.ndarray:
         raise DomainMismatchError(
             f"data has {V.shape[1]} columns but the matrix is {C.shape[0]} x {C.shape[0]}"
         )
-    L = _chol(C)
-    Y = solve_triangular(L, V.T, lower=True, check_finite=False)
+    Y = _whiten(V, _chol(C))
     return np.einsum("ij,ij->j", Y, Y)
 
 
@@ -167,11 +186,11 @@ def rho_truncated(d2, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _auto_cutoff(d2: np.ndarray) -> float:
-    """Q3 + 3*IQR of d2, quartiles by linear interpolation at (n-1)*q.
+def _iqr_cutoff(d2: np.ndarray, multiplier: float = 3.0) -> float:
+    """Q3 + multiplier*IQR of d2, floored at 1e-12.
 
-    Sort-based equivalent of the np.quantile default, kept cheap because it
-    runs once per objective evaluation.
+    Quartiles interpolate linearly at (n-1)*q, the np.quantile default; a
+    sort is cheaper than np.quantile at the sizes evaluated every iteration.
     """
     s = np.sort(d2)
     n = s.size
@@ -182,29 +201,38 @@ def _auto_cutoff(d2: np.ndarray) -> float:
         k1 = k + 1 if k + 1 < n else k
         vals.append(s[k] + (pos - k) * (s[k1] - s[k]))
     q1, q3 = vals
-    return max(float(q3 + 3.0 * (q3 - q1)), 1e-12)
+    return max(float(q3 + multiplier * (q3 - q1)), 1e-12)
 
 
-def _fit_loss_from_factor(V: np.ndarray, L: np.ndarray, kind: str, thr) -> float:
-    """Shared objective core given the lower Cholesky factor of the metric.
+def _loss_value(n: int, logdet: float, d2: np.ndarray, kind: str, thr) -> float:
+    """Objective from log det C and the squared distances under C.
 
-    ``thr == 'iqr-auto'`` resolves the cutoff from the distances under this
-    very metric (Q3 + 3*IQR of the d^2 sample).
+    ``thr == 'iqr-auto'`` resolves the cutoff from these very distances.
     """
-    Y = solve_triangular(L, V.T, lower=True, check_finite=False)
-    d2 = np.einsum("ij,ij->j", Y, Y)
     if kind == "gaussian":
         rho_sum = float(np.sum(d2))
     else:
         if thr == "iqr-auto":
-            thr = _auto_cutoff(d2)
+            thr = _iqr_cutoff(d2)
         if kind == "huber":
             rho_sum = float(np.sum(rho_huber(d2, thr)))
         elif kind == "truncated":
             rho_sum = float(np.sum(rho_truncated(d2, thr)))
         else:
             rho_sum = float(np.sum(rho_tukey(d2, math.sqrt(thr))))
-    return 0.5 * V.shape[0] * _logdet_from_chol(L) + 0.5 * rho_sum
+    return 0.5 * n * logdet + 0.5 * rho_sum
+
+
+def _whiten(V: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Y = L^{-1} V^T, one row per variable, one column per observation."""
+    return solve_triangular(L, V.T, lower=True, check_finite=False)
+
+
+def _fit_loss_from_factor(V: np.ndarray, L: np.ndarray, kind: str, thr) -> float:
+    """Full evaluation given the lower Cholesky factor of the metric."""
+    Y = _whiten(V, L)
+    return _loss_value(V.shape[0], _logdet_from_chol(L), np.einsum("ij,ij->j", Y, Y),
+                       kind, thr)
 
 
 def _loss_threshold(spec: LossSpec):
@@ -249,13 +277,161 @@ def loss_robust_from_factor(X, L: np.ndarray, spec: LossSpec) -> float:
     return _fit_loss_from_factor(V, L, spec.kind, thr)
 
 
+class AngleObjective:
+    """The loss of ``spec`` on data X as a function of the angle vector.
+
+    ``f(angles)`` equals ``loss_robust_from_factor(X, cholesky_rows(angles),
+    spec)`` up to rounding; ``spec`` must not hold an unresolved 'iqr-pilot'.
+    It is built for the single-coordinate search, whose proposals move one
+    angle, and one angle of factor row r changes only row r of L.  For a base
+    point it caches L, Y = L^{-1} X^T (one row per variable) and the
+    per-column prefix sums of the squared rows of Y.  A point one angle away
+    from the base costs O(pn) instead of O(p^2 n):
+
+    * row r alone is rebuilt from its angles (:func:`factor_row`);
+    * ``y'_r = (x_r - L'[r,:r] Y[:r]) / L'[r,r]``; rows above r keep their Y;
+    * the rows below move by a rank-one term, ``Y[r+1:] - z (y'_r - y_r)^T``,
+      where ``z = L[r+1:,r+1:]^{-1} L[r+1:,r]`` comes from one triangular
+      solve on the unchanged tail block (no explicit inverse);
+    * ``d^2 = prefix[r-1] + y'_r^2 +`` column sums of the squared new tail,
+      and log det swaps one diagonal entry.
+
+    The evaluated point is kept as pending.  The next call promotes it to the
+    base when that call's point is one angle from it, and either more than
+    one angle from the base or, when both are one angle away, the pending
+    value is lower (a descent search accepts a lower value).  Any other
+    point (a new start, a warm start, a jump in several angles) takes the
+    full path: :func:`cholesky_rows` plus one n p^2 triangular solve.  The
+    guess only decides which path runs; every path evaluates the point it
+    is given.
+
+    Per observation it also keeps the largest d^2 of the base points since
+    the last full solve.  A one-angle result whose d^2 lies more than
+    ``GROWTH_LIMIT`` below that (say after leaving a near-singular point)
+    would carry the cancellation error of the large values, so that point
+    takes the full path instead.
+    """
+
+    def __init__(self, X, spec: LossSpec):
+        V = _values(X)
+        n, p = V.shape
+        self._V = V
+        self._XT = np.ascontiguousarray(V.T)
+        self._kind = spec.kind
+        self._thr = None if spec.kind == "gaussian" else _loss_threshold(spec)
+        self._dim = angle_dim(p)
+        self._row_of = np.repeat(np.arange(1, p), np.arange(1, p))  # angle -> factor row
+        self._L = np.empty((p, p))
+        self._Y = np.empty((p, n))
+        self._prefix = np.empty((p, n))   # prefix[i] = column sums of Y[:i+1]**2
+        self._fresh = 0                   # prefix rows below this are current
+        self._logdiag = np.empty(p)
+        self._logsum = 0.0
+        self._tail = np.empty((p, n))     # Y rows r..p-1 of the pending point
+        self._d2_floor = np.empty(n)      # largest base d^2 / GROWTH_LIMIT
+        self._base = None
+        self._value = math.nan
+        self._pending = None              # (angles, value, row index r, new row r, d2)
+
+    def __call__(self, angles) -> float:
+        a = np.asarray(angles, dtype=float)
+        if self._base is None or a.shape != self._base.shape:
+            return self._full(a)
+        moved = np.nonzero(a != self._base)[0]
+        if self._pending is not None and (moved.size > 1
+                                          or self._pending[1] < self._value):
+            from_pending = np.nonzero(a != self._pending[0])[0]
+            if from_pending.size <= 1:
+                self._promote()
+                moved = from_pending
+        if moved.size == 0:
+            return self._value
+        if moved.size == 1:
+            return self._one_angle(a, int(moved[0]))
+        return self._full(a)
+
+    def threshold_at(self, angles) -> float | None:
+        """The d^2 cutoff in force at ``angles``: None for gaussian, the fixed
+        number, or for 'iqr-auto' the cutoff the objective computes there."""
+        if self._thr != "iqr-auto":
+            return None if self._thr is None else float(self._thr)
+        Y = _whiten(self._V, cholesky_rows(angles))
+        return _iqr_cutoff(np.einsum("ij,ij->j", Y, Y))
+
+    def _full(self, a: np.ndarray) -> float:
+        if a.shape != (self._dim,):
+            raise DomainMismatchError(
+                f"expected {self._dim} angles for {self._V.shape[1]} data columns, "
+                f"got shape {a.shape}")
+        L = cholesky_rows(a)
+        Y = _whiten(self._V, L)
+        self._L[:] = L
+        self._Y[:] = Y
+        self._fresh = 0
+        np.log(np.diag(L), out=self._logdiag)
+        self._logsum = float(np.sum(self._logdiag))
+        self._base, self._pending = a.copy(), None
+        d2 = np.einsum("ij,ij->j", Y, Y)
+        np.divide(d2, GROWTH_LIMIT, out=self._d2_floor)
+        self._value = _loss_value(self._V.shape[0], 2.0 * self._logsum, d2,
+                                  self._kind, self._thr)
+        return self._value
+
+    def _one_angle(self, a: np.ndarray, i: int) -> float:
+        r = int(self._row_of[i])
+        off = r * (r - 1) // 2
+        row = factor_row(a[off:off + r])
+        L, Y, tail = self._L, self._Y, self._tail
+        y = tail[r]
+        np.dot(row[:r], Y[:r], out=y)
+        np.subtract(self._XT[r], y, out=y)
+        y /= row[r]
+        d2 = self._head_sq(r) + y * y
+        if r + 1 < L.shape[0]:
+            z, _ = dtrtrs(L[r + 1:, r + 1:], L[r + 1:, r], lower=1)
+            below = tail[r + 1:]
+            np.copyto(below, Y[r + 1:])
+            # below -= z (y - Y[r])^T, on the Fortran view of the C-ordered rows
+            dger(-1.0, y - Y[r], z, a=below.T, overwrite_a=1)
+            d2 += np.einsum("ij,ij->j", below, below)
+        if (d2 < self._d2_floor).any():
+            return self._full(a)
+        logdet = 2.0 * (self._logsum - self._logdiag[r] + math.log(row[r]))
+        value = _loss_value(self._V.shape[0], logdet, d2, self._kind, self._thr)
+        self._pending = (a.copy(), value, r, row, d2)
+        return value
+
+    def _head_sq(self, r: int) -> np.ndarray:
+        """Column sums of Y[:r]**2 for the base, extending stale prefix rows."""
+        P, Y = self._prefix, self._Y
+        for k in range(self._fresh, r):
+            np.multiply(Y[k], Y[k], out=P[k])
+            if k:
+                P[k] += P[k - 1]
+        self._fresh = max(self._fresh, r)
+        return P[r - 1]
+
+    def _promote(self) -> None:
+        a, value, r, row, d2 = self._pending
+        self._L[r, :r + 1] = row
+        self._Y[r:] = self._tail[r:]
+        self._fresh = min(self._fresh, r)
+        self._logdiag[r] = math.log(row[r])
+        self._logsum = float(np.sum(self._logdiag))
+        np.maximum(self._d2_floor, d2 / GROWTH_LIMIT, out=self._d2_floor)
+        self._base, self._value, self._pending = a, value, None
+
+
 def iqr_threshold(values, multiplier: float = 3.0) -> float:
-    """Q3 + multiplier * (Q3 - Q1), quartiles by linear interpolation."""
+    """Q3 + multiplier * (Q3 - Q1), quartiles by linear interpolation.
+
+    The same rule, and the same 1e-12 floor, as the 'iqr-auto' cutoff the
+    objective recomputes at every evaluation.
+    """
     v = np.asarray(values, dtype=float)
     if v.size < 4:
         raise ValueError("need at least 4 values for quartiles")
-    q1, q3 = np.quantile(v, [0.25, 0.75])
-    return float(q3 + multiplier * (q3 - q1))
+    return _iqr_cutoff(v.ravel(), multiplier)
 
 
 def sample_correlation(X) -> np.ndarray:
@@ -317,8 +493,7 @@ def resolve_threshold(X, spec: LossSpec) -> float:
     if spec.threshold not in THRESHOLD_POLICIES:
         raise ValueError("resolve_threshold only applies to policy thresholds")
     pilot = pilot_correlation(X, spec.pilot_shrinkage_floor)
-    d2 = mahalanobis_sq_all(X, pilot)
-    return iqr_threshold(d2, 3.0)
+    return iqr_threshold(mahalanobis_sq_all(X, pilot))
 
 
 def resolved_spec(X, spec: LossSpec) -> LossSpec:

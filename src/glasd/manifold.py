@@ -119,6 +119,23 @@ def cholesky_rows(angles: np.ndarray) -> np.ndarray:
     return L
 
 
+def factor_row(row_angles: np.ndarray) -> np.ndarray:
+    """Row m of the factor, entries ``L[m, :m]``, from that row's ``m - 1`` angles.
+
+    Costs O(m).  It repeats the arithmetic of :func:`cholesky_rows` (same
+    sines, same running products, same order), so the entries agree with the
+    corresponding row of the full factor.
+    """
+    w = np.asarray(row_angles, dtype=float)
+    c = np.cos(w)
+    full = np.cumprod(np.sin(w))
+    row = np.empty(w.shape[0] + 1)
+    row[-1] = c[0]
+    row[-2:0:-1] = full[:-1] * c[1:]
+    row[0] = full[-1]
+    return row
+
+
 def angles_to_corr(angles: np.ndarray) -> np.ndarray:
     """Map an angle vector to its correlation matrix C = L L^T.
 
@@ -195,7 +212,6 @@ def minimize_over_corr(
     n_starts: int = 10,
     master_seed: int | None = None,
     warm_start: np.ndarray | None = None,
-    loss_on_factor=None,
 ) -> tuple[np.ndarray, list[RunRecord]]:
     """Multi-start minimization of a matrix objective over the angle box.
 
@@ -208,21 +224,13 @@ def minimize_over_corr(
     numerically rank deficient even though it is full rank in exact
     arithmetic; a loss that rejects it with a not-positive-definite error is
     mapped to a huge finite value so the proposal is simply rejected.
-
-    ``loss_on_factor``, when given, must satisfy
-    ``loss_on_factor(L) == loss(L @ L.T)`` for unit-row lower-triangular L; it
-    lets the search evaluate straight from the factor the angles already
-    define, skipping the rebuild-then-refactorize round trip per iteration.
     """
-    if loss_on_factor is not None:
-        objective = lambda ang: loss_on_factor(cholesky_rows(ang))
-    else:
-        def objective(ang):
-            C = angles_to_corr(ang)
-            try:
-                return loss(C)
-            except NotPositiveDefiniteError:
-                return SINGULAR_PENALTY
+    def objective(ang):
+        C = angles_to_corr(ang)
+        try:
+            return loss(C)
+        except NotPositiveDefiniteError:
+            return SINGULAR_PENALTY
 
     records = multi_start_minimize(
         objective,

@@ -229,8 +229,10 @@ def glasd_minimize(
     Parameters
     ----------
     f : callable
-        Objective mapping a feasible point to a finite float.  It is called
-        exactly once per iteration, plus once for the initial point.
+        Objective mapping a feasible point to a float.  It is called exactly
+        once per iteration, plus once for the initial point.  A nonfinite
+        value (NaN or +-inf) at a proposal rejects that proposal; at the start
+        point it raises ObjectiveEvaluationError.
     domain : BoxDomain
         Compact search box.
     x0 : array-like, optional
@@ -283,6 +285,9 @@ def glasd_minimize(
     p /= p.sum()
 
     f_curr = feval(x)
+    if not math.isfinite(f_curr):
+        raise ObjectiveEvaluationError(
+            f"objective is {f_curr} at the start point {x!r}", point=x)
     evals = 1
     f_best = f_curr
     x_best = x.copy()
@@ -320,8 +325,10 @@ def glasd_minimize(
         f_new = feval(x_new)
         evals += 1
 
+        # a nonfinite value is a rejected proposal in either mode
+        finite = math.isfinite(f_new)
         accepted = False
-        if f_new < f_curr:
+        if finite and f_new < f_curr:
             x, f_curr = x_new, f_new
             accepted = True
             if not explore:
@@ -330,7 +337,7 @@ def glasd_minimize(
                 np.maximum(p, PROB_FLOOR, out=p)
                 p /= p.sum()
         elif explore:
-            if rng.random() < acceptance_prob(t, cfg.m, cfg.c):
+            if finite and rng.random() < acceptance_prob(t, cfg.m, cfg.c):
                 x, f_curr = x_new, f_new
                 accepted = True
         else:
@@ -339,7 +346,7 @@ def glasd_minimize(
             np.maximum(p, PROB_FLOOR, out=p)
             p /= p.sum()
 
-        if f_new < f_best:
+        if finite and f_new < f_best:
             f_best = f_new
             x_best = x_new.copy()
         if accepted:

@@ -98,6 +98,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             load_scenario_config(tmp_path / "nope.ini")
 
+    def test_optimizer_seed_rejected(self, tmp_path):
+        # run_scenario derives one search seed per loss from master_seed, so
+        # an [optimizer] seed would be silently overridden
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_INI.replace("max_iters = 300", "max_iters = 300\nseed = 99"))
+        with pytest.raises(ConfigError, match="master_seed"):
+            load_scenario_config(path)
+
 
 class TestOptimizerOverrides:
     def test_load(self, tmp_path):

@@ -226,6 +226,30 @@ class TestOutlierReportCommand:
                      "--out", str(tmp_path / "r")]) == 1
 
 
+class TestUnexpectedErrors:
+    @staticmethod
+    def _boom(monkeypatch):
+        import glasd.cli
+
+        def fail(args):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(glasd.cli._DISPATCH, "outlier-report", fail)
+
+    def test_one_line_without_verbose(self, tmp_path, monkeypatch, capsys):
+        self._boom(monkeypatch)
+        assert main(["outlier-report", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: boom\n"
+
+    def test_traceback_with_verbose(self, tmp_path, monkeypatch, capsys):
+        self._boom(monkeypatch)
+        assert main(["outlier-report", str(tmp_path / "d.csv"), "-v"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: boom\n")
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: boom" in err
+
+
 class TestBenchmarkCommand:
     def test_summary_with_baseline(self, tmp_path):
         out = tmp_path / "run"

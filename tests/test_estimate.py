@@ -1,7 +1,15 @@
 import numpy as np
+import pytest
 
 from glasd.estimate import estimate_correlation
-from glasd.losses import LossSpec, sample_correlation, standardize_columns
+from glasd.losses import (
+    LossSpec,
+    iqr_threshold,
+    loss_robust,
+    mahalanobis_sq_all,
+    sample_correlation,
+    standardize_columns,
+)
 from glasd.manifold import check_correlation
 from glasd.optimizer import OptimizerConfig
 from glasd.simulate import StructureSpec, gen_structure, rmse, sample_data
@@ -38,6 +46,14 @@ class TestEstimateCorrelation:
         fit = estimate_correlation(Xs, LossSpec("huber", "iqr-auto"), config=FAST,
                                    n_starts=2, master_seed=2)
         assert fit.threshold is not None and fit.threshold > 0
+
+    def test_auto_threshold_is_the_cutoff_at_the_solution(self):
+        _, Xs = make_clean_data(n=300, seed=4)
+        spec = LossSpec("tukey", "iqr-auto")
+        fit = estimate_correlation(Xs, spec, config=FAST, n_starts=2, master_seed=4)
+        d2 = mahalanobis_sq_all(Xs, fit.corr)
+        assert fit.threshold == pytest.approx(iqr_threshold(d2), rel=1e-10)
+        assert fit.f_best == pytest.approx(loss_robust(Xs, fit.corr, spec), rel=1e-10)
 
     def test_deterministic(self):
         _, Xs = make_clean_data(n=200, seed=3)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glasd.errors import (
@@ -12,16 +12,20 @@ from glasd.errors import (
     NotPositiveDefiniteError,
 )
 from glasd.losses import (
+    LOSS_KINDS,
+    AngleObjective,
     DataMatrix,
     LossSpec,
     iqr_threshold,
     loss_gaussian,
     loss_robust,
+    loss_robust_from_factor,
     mahalanobis_sq_all,
     outlier_report,
     pilot_correlation,
     read_data_csv,
     resolve_threshold,
+    resolved_spec,
     rho_huber,
     rho_truncated,
     rho_tukey,
@@ -29,6 +33,7 @@ from glasd.losses import (
     shrink_to_pd,
     standardize_columns,
 )
+from glasd.manifold import cholesky_rows, default_angle_box
 
 TWO = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -153,13 +158,11 @@ class TestRobustLoss:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_fast_cutoff_matches_quantile_convention(self):
-        from glasd.losses import _auto_cutoff
-
         rng = np.random.default_rng(10)
         for n in (4, 7, 40, 101):
             d2 = rng.uniform(0, 50, n)
-            assert _auto_cutoff(d2) == pytest.approx(
-                max(iqr_threshold(d2, 3.0), 1e-12), rel=1e-14)
+            q1, q3 = np.quantile(d2, [0.25, 0.75])
+            assert iqr_threshold(d2) == pytest.approx(q3 + 3.0 * (q3 - q1), rel=1e-14)
 
     def test_dynamic_threshold_bounded_near_singular(self):
         # frozen cutoffs leave the truncated objective unbounded below as the
@@ -171,6 +174,90 @@ class TestRobustLoss:
             C = np.full((3, 3), rho)
             np.fill_diagonal(C, 1.0)
             assert loss_robust(X, C, LossSpec("truncated", "iqr-auto")) > base
+
+
+# one move: (coordinate pick, position in the box, accept?, shape of the move)
+MOVES = st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0), st.booleans(),
+                  st.sampled_from(["one", "same", "jump"]))
+
+
+class TestAngleObjective:
+    @staticmethod
+    def _spec(kind, policy, X, rng):
+        if kind == "gaussian":
+            return LossSpec("gaussian")
+        if policy == "number":
+            return LossSpec(kind, float(rng.uniform(0.5, 4.0 * X.shape[1])))
+        return resolved_spec(X, LossSpec(kind, policy))
+
+    @settings(deadline=None, max_examples=150)
+    # a full solve at a near-singular point (row 1 diagonal 1e-6), then a
+    # one-angle move back to a well-conditioned one
+    @example(p=4, kind="gaussian", policy="number", seed=1,
+             moves=[(0, 0.0, False, "jump"), (0, 0.0, False, "one"),
+                    (0, 0.5, False, "one")])
+    @given(p=st.integers(2, 12), kind=st.sampled_from(LOSS_KINDS),
+           policy=st.sampled_from(["number", "iqr-pilot", "iqr-auto"]),
+           seed=st.integers(0, 2**32 - 1), moves=st.lists(MOVES, min_size=1, max_size=40))
+    def test_matches_full_evaluation(self, p, kind, policy, seed, moves):
+        # the caller's current point follows accept/reject; every evaluated
+        # point must agree with the reference evaluation from the full factor
+        rng = np.random.default_rng(seed)
+        X = standardize_columns(rng.standard_t(3.0, (p + int(rng.integers(4, 40)), p)))
+        spec = self._spec(kind, policy, X, rng)
+        box = default_angle_box(p)
+        f = AngleObjective(X, spec)
+
+        def check(a):
+            ref = loss_robust_from_factor(X, cholesky_rows(a), spec)
+            assert f(a) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+        current = rng.uniform(box.lower, box.upper)
+        check(current)
+        i = 0
+        for pick, frac, accept, shape in moves:
+            a = current.copy()
+            if shape != "same":
+                i = pick % a.size
+            a[i] = box.lower[i] + frac * (box.upper[i] - box.lower[i])
+            if shape == "jump":
+                j = (i + 1 + pick // a.size) % a.size
+                a[j] = rng.uniform(box.lower[j], box.upper[j])
+            check(a)
+            if accept:
+                current = a
+
+    def test_one_angle_move_skips_the_full_rebuild(self, monkeypatch):
+        import glasd.losses
+
+        rng = np.random.default_rng(4)
+        p = 6
+        X = rng.standard_normal((30, p))
+        box = default_angle_box(p)
+        f = AngleObjective(X, LossSpec("tukey", "iqr-auto"))
+        calls = []
+        monkeypatch.setattr(glasd.losses, "cholesky_rows",
+                            lambda a: (calls.append(1), cholesky_rows(a))[1])
+        a = rng.uniform(box.lower, box.upper)
+        f(a)
+        assert len(calls) == 1
+        for i in (0, 7, 14, 7):
+            a = a.copy()
+            a[i] = rng.uniform(box.lower[i], box.upper[i])
+            f(a)                              # accepted: the next move starts here
+        assert len(calls) == 1
+        a[[2, 9]] = box.lower[[2, 9]]
+        f(a)                                  # two angles at once: full path
+        assert len(calls) == 2
+
+    def test_dimension_mismatch(self):
+        f = AngleObjective(np.ones((5, 3)) + np.eye(5, 3), LossSpec("gaussian"))
+        with pytest.raises(DomainMismatchError):
+            f(np.zeros(6))
+
+    def test_unresolved_pilot_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            AngleObjective(np.eye(4, 2), LossSpec("huber", "iqr-pilot"))
 
 
 class TestIqrThreshold:

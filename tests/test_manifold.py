@@ -14,6 +14,7 @@ from glasd.manifold import (
     cholesky_rows,
     corr_to_angles,
     default_angle_box,
+    factor_row,
     matrix_dim,
     minimize_over_corr,
 )
@@ -102,6 +103,17 @@ class TestForwardMap:
             norms = np.linalg.norm(L, axis=1)
             assert np.abs(norms - 1.0).max() < 1e-12
             assert (np.diag(L) > 0).all()
+
+    def test_single_row_builder_matches_full_factor(self):
+        rng = np.random.default_rng(2)
+        for M in range(2, 16):
+            box = default_angle_box(M)
+            for _ in range(10):
+                a = rng.uniform(box.lower, box.upper)
+                L = cholesky_rows(a)
+                for r in range(1, M):
+                    off = r * (r - 1) // 2
+                    assert np.array_equal(factor_row(a[off:off + r]), L[r, :r + 1])
 
     def test_fuzzed_outputs_are_correlations(self):
         rng = np.random.default_rng(1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from glasd.errors import DomainMismatchError, ObjectiveEvaluationError
 from glasd.optimizer import (
+    STEP_MIN,
     BoxDomain,
     OptimizerConfig,
     acceptance_prob,
@@ -125,6 +126,52 @@ class TestGlasd:
 
         with pytest.raises(ObjectiveEvaluationError) as err:
             glasd_minimize(bad, BoxDomain([0.0], [1.0]), x0=[0.5],
+                           config=OptimizerConfig(seed=0))
+        assert err.value.point is not None
+
+    def test_nonfinite_proposals_are_rejected(self):
+        # NaN where x[1] > 2, -inf where x[2] < -4, and the finite part pulls
+        # toward both regions: in neither mode may such a proposal be accepted
+        # or become the best value; in greedy mode its direction's step and
+        # weight decay as for any rejection
+        def f(x):
+            if x[1] > 2.0:
+                return math.nan
+            if x[2] < -4.0:
+                return -math.inf
+            return sphere(x - np.array([0.0, 4.0, -5.0]))
+
+        dom = BoxDomain(np.full(3, -5.0), np.full(3, 5.0))
+        seen = {True: 0, False: 0}
+        for seed in range(20):
+            last = []
+            prev = {"s": np.full(6, 0.1), "p": np.full(6, 1.0 / 6)}   # initial state
+
+            def wrapped(x):
+                last.append(math.isfinite(f(x)))
+                return f(x)
+
+            def cb(state, move):
+                if not last[-1]:
+                    seen[move.explore] += 1
+                    assert not move.accepted
+                    if not move.explore:
+                        j = move.direction
+                        assert state.s[j] < prev["s"][j] or state.s[j] == prev["s"][j] == STEP_MIN
+                        assert state.p[j] < prev["p"][j]
+                assert math.isfinite(state.f_current)
+                prev["s"], prev["p"] = state.s.copy(), state.p.copy()
+
+            rec = glasd_minimize(wrapped, dom, x0=[1.0, 1.9, -3.9],
+                                 config=OptimizerConfig(seed=seed), callback=cb)
+            assert math.isfinite(rec.f_best) and np.isfinite(rec.trace[:, 2]).all()
+            assert rec.f_best == f(rec.x_best)
+        assert seen[True] > 0 and seen[False] > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_raises(self, bad):
+        with pytest.raises(ObjectiveEvaluationError) as err:
+            glasd_minimize(lambda x: bad, BoxDomain([0.0], [1.0]), x0=[0.5],
                            config=OptimizerConfig(seed=0))
         assert err.value.point is not None
 
