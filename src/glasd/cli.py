@@ -41,15 +41,12 @@ from .losses import outlier_report, read_data_csv, standardize_columns
 from .manifold import angles_to_corr, default_angle_box, minimize_over_corr
 from .optimizer import (
     OptimizerConfig,
+    _fresh_seed,
     derive_seeds,
     multi_start_minimize,
     random_search_minimize,
 )
 from .simulate import run_scenario
-
-
-def _fresh_seed() -> int:
-    return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,6 +112,10 @@ def _optimizer_config(args) -> OptimizerConfig:
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_optimizer_overrides(args.config))
+        if "seed" in overrides:
+            raise ConfigError(
+                f"{args.config}: seed is not allowed in the [optimizer] section; "
+                "the search seeds derive from the master seed, set it with --seed")
     if getattr(args, "max_iters", None) is not None:
         overrides["max_iters"] = args.max_iters
     if getattr(args, "stagnation_window", None) is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .losses import AngleObjective, LossSpec, pilot_correlation, resolved_spec
 from .manifold import angles_to_corr, corr_to_angles, default_angle_box
-from .optimizer import OptimizerConfig, RunRecord, multi_start_minimize
+from .optimizer import OptimizerConfig, RunRecord, _fresh_seed, multi_start_minimize
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,12 @@ def estimate_correlation(
     """
     X_std = np.asarray(X_std, dtype=float)
     p = X_std.shape[1]
-    spec = resolved_spec(X_std, spec)
     pilot = pilot_correlation(X_std, spec.pilot_shrinkage_floor)
+    spec = resolved_spec(X_std, spec, pilot)
     warm = corr_to_angles(pilot)
 
     if master_seed is None:
-        master_seed = int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
+        master_seed = _fresh_seed()
 
     objective = AngleObjective(X_std, spec)
     records = multi_start_minimize(

@@ -186,22 +186,41 @@ def rho_truncated(d2, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _iqr_cutoff(d2: np.ndarray, multiplier: float = 3.0) -> float:
-    """Q3 + multiplier*IQR of d2, floored at 1e-12.
+def _iqr_cutoff(s: np.ndarray, multiplier: float = 3.0) -> float:
+    """Q3 + multiplier*IQR of the ascending array s, floored at 1e-12.
 
     Quartiles interpolate linearly at (n-1)*q, the np.quantile default; a
     sort is cheaper than np.quantile at the sizes evaluated every iteration.
     """
-    s = np.sort(d2)
     n = s.size
     vals = []
     for q in (0.25, 0.75):
         pos = (n - 1) * q
         k = int(pos)
-        k1 = k + 1 if k + 1 < n else k
-        vals.append(s[k] + (pos - k) * (s[k1] - s[k]))
+        lo = s.item(k)
+        vals.append(lo + (pos - k) * (s.item(min(k + 1, n - 1)) - lo))
     q1, q3 = vals
-    return max(float(q3 + multiplier * (q3 - q1)), 1e-12)
+    return max(q3 + multiplier * (q3 - q1), 1e-12)
+
+
+def _rho_sum_auto(d2: np.ndarray, kind: str) -> float:
+    """Sum of rho(d2) under the 'iqr-auto' cutoff of d2 itself.
+
+    The cutoff needs d2 sorted, so the same sorted array is split at the
+    knot: the head is summed on the inner branch, and only the tail takes
+    the outer branch (huber's square root, truncated's cap, tukey's plateau).
+    """
+    s = np.sort(d2)
+    thr = _iqr_cutoff(s)
+    if kind == "tukey":
+        tau2 = math.sqrt(thr) ** 2            # the plateau location rho_tukey uses
+        inner = 1.0 - s[:s.searchsorted(tau2)] / tau2
+        return (tau2 / 6.0) * (s.size - float(np.dot(inner * inner, inner)))
+    k = int(s.searchsorted(thr, side="right"))
+    rho_sum = float(s[:k].sum())
+    if kind == "truncated":
+        return rho_sum + thr * (s.size - k)
+    return rho_sum + 2.0 * math.sqrt(thr) * float(np.sqrt(s[k:]).sum()) - thr * (s.size - k)
 
 
 def _loss_value(n: int, logdet: float, d2: np.ndarray, kind: str, thr) -> float:
@@ -210,16 +229,15 @@ def _loss_value(n: int, logdet: float, d2: np.ndarray, kind: str, thr) -> float:
     ``thr == 'iqr-auto'`` resolves the cutoff from these very distances.
     """
     if kind == "gaussian":
-        rho_sum = float(np.sum(d2))
+        rho_sum = float(d2.sum())
+    elif thr == "iqr-auto":
+        rho_sum = _rho_sum_auto(d2, kind)
+    elif kind == "huber":
+        rho_sum = float(np.sum(rho_huber(d2, thr)))
+    elif kind == "truncated":
+        rho_sum = float(np.sum(rho_truncated(d2, thr)))
     else:
-        if thr == "iqr-auto":
-            thr = _iqr_cutoff(d2)
-        if kind == "huber":
-            rho_sum = float(np.sum(rho_huber(d2, thr)))
-        elif kind == "truncated":
-            rho_sum = float(np.sum(rho_truncated(d2, thr)))
-        else:
-            rho_sum = float(np.sum(rho_tukey(d2, math.sqrt(thr))))
+        rho_sum = float(np.sum(rho_tukey(d2, math.sqrt(thr))))
     return 0.5 * n * logdet + 0.5 * rho_sum
 
 
@@ -356,7 +374,7 @@ class AngleObjective:
         if self._thr != "iqr-auto":
             return None if self._thr is None else float(self._thr)
         Y = _whiten(self._V, cholesky_rows(angles))
-        return _iqr_cutoff(np.einsum("ij,ij->j", Y, Y))
+        return _iqr_cutoff(np.sort(np.einsum("ij,ij->j", Y, Y)))
 
     def _full(self, a: np.ndarray) -> float:
         if a.shape != (self._dim,):
@@ -431,7 +449,7 @@ def iqr_threshold(values, multiplier: float = 3.0) -> float:
     v = np.asarray(values, dtype=float)
     if v.size < 4:
         raise ValueError("need at least 4 values for quartiles")
-    return _iqr_cutoff(v.ravel(), multiplier)
+    return _iqr_cutoff(np.sort(v, axis=None), multiplier)
 
 
 def sample_correlation(X) -> np.ndarray:
@@ -483,29 +501,33 @@ def pilot_correlation(X, eig_floor: float = 1e-3) -> np.ndarray:
     return shrink_to_pd(sample_correlation(X), eig_floor)
 
 
-def resolve_threshold(X, spec: LossSpec) -> float:
+def resolve_threshold(X, spec: LossSpec, pilot: np.ndarray | None = None) -> float:
     """IQR cutoff frozen from distances under the shrunk-sample-correlation pilot.
 
     Returns Q3 + 3*IQR of the squared Mahalanobis distances computed once
     under the pilot correlation.  The value is on the d^2 scale for every loss
-    kind (for tukey it is the plateau location tau^2).
+    kind (for tukey it is the plateau location tau^2).  ``pilot`` is
+    ``pilot_correlation(X, spec.pilot_shrinkage_floor)`` when a caller has
+    built it already; by default it is built here.
     """
     if spec.threshold not in THRESHOLD_POLICIES:
         raise ValueError("resolve_threshold only applies to policy thresholds")
-    pilot = pilot_correlation(X, spec.pilot_shrinkage_floor)
+    if pilot is None:
+        pilot = pilot_correlation(X, spec.pilot_shrinkage_floor)
     return iqr_threshold(mahalanobis_sq_all(X, pilot))
 
 
-def resolved_spec(X, spec: LossSpec) -> LossSpec:
+def resolved_spec(X, spec: LossSpec, pilot: np.ndarray | None = None) -> LossSpec:
     """Copy of spec with a frozen-pilot policy replaced by its number.
 
     The per-evaluation 'iqr-auto' policy passes through untouched; it is
-    resolved inside the loss at every evaluation.
+    resolved inside the loss at every evaluation.  ``pilot`` is passed on to
+    :func:`resolve_threshold`.
     """
     if spec.kind == "gaussian" or spec.threshold != "iqr-pilot":
         return spec
     return LossSpec(kind=spec.kind,
-                    threshold=resolve_threshold(X, spec),
+                    threshold=resolve_threshold(X, spec, pilot),
                     pilot_shrinkage_floor=spec.pilot_shrinkage_floor)
 
 

@@ -13,6 +13,13 @@ Two modes of the same single-coordinate search loop:
 All proposals move a single coordinate and are clipped to half the distance
 to the facing bound, so every evaluated point is feasible by construction and
 an interior start stays interior.
+
+The 2n direction weights are kept unnormalized in a binary sum tree, so a
+greedy draw (probability w_j / sum(w)) and the weight update after it each
+cost O(log n).  An update floors the new weight at ``PROB_FLOOR`` times the
+current total; when the total leaves ``[TOTAL_MIN, TOTAL_MAX]`` every weight
+is divided by it and floored at ``PROB_FLOOR``, so no direction ever becomes
+unselectable and the total can neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from .errors import DomainMismatchError, ObjectiveEvaluationError
 
 STEP_MIN = 1e-12          # lower clamp for step sizes after repeated decay
 PROB_FLOOR = 1e-12        # keeps every direction selectable forever
+TOTAL_MIN = 2.0 ** -32    # direction weights are renormalized when their
+TOTAL_MAX = 2.0 ** 32     # total leaves [TOTAL_MIN, TOTAL_MAX]
 
 
 @dataclass(frozen=True)
@@ -151,18 +160,31 @@ class ResolvedConfig:
     explore_enabled: bool
 
 
-@dataclass
 class OptimizerState:
-    """Live state handed to an iteration callback (read, do not mutate)."""
+    """Live state handed to an iteration callback (read, do not mutate).
 
-    x: np.ndarray
-    s: np.ndarray
-    p: np.ndarray
-    t: int
-    f_current: float
-    f_best: float
-    x_best: np.ndarray
-    best_buffer: list
+    ``s`` (step sizes) and ``p`` (direction probabilities) are arrays built
+    from the live state when read, so read them during the callback.
+    ``best_buffer`` holds the best value after each iteration so far.
+    """
+
+    __slots__ = ("x", "t", "f_current", "f_best", "x_best", "best_buffer",
+                 "_steps", "_weights")
+
+    def __init__(self, x, t, f_current, f_best, x_best, best_buffer, steps, weights):
+        self.x, self.t = x, t
+        self.f_current, self.f_best, self.x_best = f_current, f_best, x_best
+        self.best_buffer = best_buffer
+        self._steps, self._weights = steps, weights
+
+    @property
+    def s(self) -> np.ndarray:
+        return np.array(self._steps)
+
+    @property
+    def p(self) -> np.ndarray:
+        w = self._weights.weights()
+        return w / w.sum()
 
 
 class MoveInfo(NamedTuple):
@@ -196,15 +218,79 @@ def acceptance_prob(t: float, m: int, c: float) -> float:
     return min(1.0, m * c / math.log(1.0 + t))
 
 
+def _half_gap_step(xi: float, lo: float, hi: float, sign: int, magnitude: float) -> float:
+    """Signed step along one coordinate: ``magnitude`` clipped to half the gap
+    between ``xi`` and the bound it moves toward."""
+    return min(magnitude, (hi - xi) / 2.0) if sign > 0 else -min(magnitude, (xi - lo) / 2.0)
+
+
 def clip_step(x, domain: BoxDomain, i: int, sign: int, magnitude: float) -> np.ndarray:
     """Single-coordinate displacement, clipped to half the gap to the facing bound."""
     x = np.asarray(x, dtype=float)
     delta = np.zeros(domain.dim)
-    if sign > 0:
-        delta[i] = min(magnitude, (domain.upper[i] - x[i]) / 2.0)
-    else:
-        delta[i] = -min(magnitude, (x[i] - domain.lower[i]) / 2.0)
+    delta[i] = _half_gap_step(float(x[i]), float(domain.lower[i]), float(domain.upper[i]),
+                              sign, magnitude)
     return delta
+
+
+class _DirectionWeights:
+    """Unnormalized positive weights of k directions in a binary sum tree.
+
+    ``tree[1]`` is the total, node ``v`` has children ``2v`` and ``2v + 1``,
+    and leaf ``j`` sits at ``tree[size + j]``, with ``size`` the power of two
+    at or above k and padding leaves held at 0.  Every inner node is
+    recomputed from its two children, so no sum drifts.  All weights start
+    at 1/k.
+    """
+
+    __slots__ = ("k", "size", "tree")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.size = 1 << (k - 1).bit_length()
+        self.tree = [0.0] * (2 * self.size)
+        self.tree[self.size:self.size + k] = [1.0 / k] * k
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        tree = self.tree
+        for v in range(self.size - 1, 0, -1):
+            tree[v] = tree[2 * v] + tree[2 * v + 1]
+
+    def draw(self, u: float) -> int:
+        """Direction j whose cumulative-weight interval holds ``u * total``
+        (``searchsorted(cumsum(w), u * total, side='right')``), for u in [0, 1)."""
+        tree, size = self.tree, self.size
+        target = u * tree[1]
+        v = 1
+        while v < size:
+            v <<= 1
+            if target >= tree[v]:
+                target -= tree[v]
+                v += 1
+        return min(v - size, self.k - 1)
+
+    def weight(self, j: int) -> float:
+        return self.tree[self.size + j]
+
+    def put(self, j: int, w: float) -> None:
+        """Set weight j to ``max(w, PROB_FLOOR * total)`` and update its
+        ancestors; renormalize when the total leaves [TOTAL_MIN, TOTAL_MAX]."""
+        tree = self.tree
+        v = self.size + j
+        tree[v] = max(w, PROB_FLOOR * tree[1])
+        v >>= 1
+        while v:
+            tree[v] = tree[2 * v] + tree[2 * v + 1]
+            v >>= 1
+        total = tree[1]
+        if not TOTAL_MIN <= total <= TOTAL_MAX:
+            lo, hi = self.size, self.size + self.k
+            tree[lo:hi] = [max(leaf / total, PROB_FLOOR) for leaf in tree[lo:hi]]
+            self._rebuild()
+
+    def weights(self) -> np.ndarray:
+        return np.array(self.tree[self.size:self.size + self.k])
 
 
 def _fresh_seed() -> int:
@@ -275,55 +361,45 @@ def glasd_minimize(
                 f"objective evaluation failed at {point!r}", point=point
             ) from exc
 
-    lower, upper = domain.lower, domain.upper
-    widths = domain.widths
-    dir_coord = np.arange(2 * n) // 2          # direction j -> coordinate
-    dir_width = widths[dir_coord]
-
-    s = np.minimum(np.full(2 * n, cfg.s_init), dir_width)
-    p = np.full(2 * n, cfg.p_init)
-    p /= p.sum()
+    lower, upper = domain.lower.tolist(), domain.upper.tolist()
+    dir_width = [w for w in domain.widths.tolist() for _ in (0, 1)]   # direction j -> width
+    s = [min(cfg.s_init, w) for w in dir_width]
+    weights = _DirectionWeights(2 * n)
 
     f_curr = feval(x)
     if not math.isfinite(f_curr):
         raise ObjectiveEvaluationError(
             f"objective is {f_curr} at the start point {x!r}", point=x)
-    evals = 1
     f_best = f_curr
     x_best = x.copy()
-    buffer = [f_best]
-    trace_rows = [(0, evals, f_best)]
+    best = [f_best]                 # best value after each iteration; row t of the trace
     explore_prob = 1.0 / cfg.m
     termination = "max-iterations"
-    iterations = 0
     last_accepted = 0
 
     for t in range(1, cfg.max_iters + 1):
         explore = cfg.explore_enabled and rng.random() < explore_prob
         if not explore:
             # greedy mode: direction by adaptive weights, fixed magnitude s_j
-            cum = np.cumsum(p)
-            j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            j = min(j, 2 * n - 1)
+            j = weights.draw(rng.random())
             i = j >> 1
             sign = 1 if (j & 1) == 0 else -1
-            mag = s[j]
         else:
             j = None
             i = int(rng.integers(n))
             sign = 1 if rng.random() < 0.5 else -1
-            if cfg.r_policy == "dynamic-to-bound":
-                r = (upper[i] - x[i]) if sign > 0 else (x[i] - lower[i])
-            else:
-                r = cfg.r
-            mag = rng.uniform(0.0, r)
-
-        gap_half = (upper[i] - x[i]) / 2.0 if sign > 0 else (x[i] - lower[i]) / 2.0
+        xi = x.item(i)
+        if not explore:
+            mag = s[j]
+        elif cfg.r_policy == "dynamic-to-bound":
+            mag = rng.uniform(0.0, (upper[i] - xi) if sign > 0 else (xi - lower[i]))
+        else:
+            mag = rng.uniform(0.0, cfg.r)
         x_new = x.copy()
-        x_new[i] = min(max(x[i] + sign * min(mag, gap_half), lower[i]), upper[i])
+        x_new[i] = min(max(xi + _half_gap_step(xi, lower[i], upper[i], sign, mag),
+                           lower[i]), upper[i])
 
         f_new = feval(x_new)
-        evals += 1
 
         # a nonfinite value is a rejected proposal in either mode
         finite = math.isfinite(f_new)
@@ -333,33 +409,25 @@ def glasd_minimize(
             accepted = True
             if not explore:
                 s[j] = min(s[j] * cfg.s_inc, dir_width[j])
-                p[j] *= cfg.p_inc
-                np.maximum(p, PROB_FLOOR, out=p)
-                p /= p.sum()
+                weights.put(j, weights.weight(j) * cfg.p_inc)
         elif explore:
             if finite and rng.random() < acceptance_prob(t, cfg.m, cfg.c):
                 x, f_curr = x_new, f_new
                 accepted = True
         else:
             s[j] = max(s[j] / cfg.s_dec, STEP_MIN)
-            p[j] /= cfg.p_dec
-            np.maximum(p, PROB_FLOOR, out=p)
-            p /= p.sum()
+            weights.put(j, weights.weight(j) / cfg.p_dec)
 
         if finite and f_new < f_best:
             f_best = f_new
             x_best = x_new.copy()
         if accepted:
             last_accepted = t
-
-        buffer.append(f_best)
-        trace_rows.append((t, evals, f_best))
-        iterations = t
+        best.append(f_best)
 
         if callback is not None:
             callback(
-                OptimizerState(x=x, s=s, p=p, t=t, f_current=f_curr,
-                               f_best=f_best, x_best=x_best, best_buffer=buffer),
+                OptimizerState(x, t, f_curr, f_best, x_best, best, s, weights),
                 MoveInfo(explore=explore, accepted=accepted, coordinate=i, direction=j),
             )
 
@@ -368,19 +436,25 @@ def glasd_minimize(
         # epsilon = 0 therefore disables early stopping entirely.
         if (
             t - last_accepted >= cfg.stagnation_window
-            and buffer[t - cfg.stagnation_window] - buffer[t] < cfg.epsilon
+            and best[t - cfg.stagnation_window] - best[t] < cfg.epsilon
         ):
             termination = "stagnation"
             break
 
+    # one evaluation per iteration plus the start: row t is (t, t + 1, best[t])
+    iterations = len(best) - 1
+    trace = np.empty((iterations + 1, 3))
+    trace[:, 0] = np.arange(iterations + 1)
+    trace[:, 1] = trace[:, 0] + 1
+    trace[:, 2] = best
     return RunRecord(
         x_best=x_best,
         f_best=f_best,
-        evaluations=evals,
+        evaluations=iterations + 1,
         iterations=iterations,
         termination=termination,
         seed=seed,
-        trace=np.asarray(trace_rows, dtype=float),
+        trace=trace,
     )
 
 

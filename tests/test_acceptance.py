@@ -165,6 +165,7 @@ def _ordering_scenario(structure, distribution, contamination, losses):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_row_contamination_ordering():
     t0 = time.perf_counter()
     spec = _ordering_scenario(
@@ -182,6 +183,7 @@ def test_criterion_06_row_contamination_ordering():
                   f"gap {gap:.3f} > pooled se {pooled:.3f}, {elapsed:.0f}s (< 1800s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_heavy_tail_ordering():
     t0 = time.perf_counter()
     spec = _ordering_scenario(

@@ -170,6 +170,23 @@ max_iters = 250
 """
 
 
+class TestConfigSeed:
+    def test_optimizer_seed_rejected(self, tmp_path, capsys):
+        # the search seeds derive from the master seed alone
+        ini = tmp_path / "opt.ini"
+        ini.write_text("[optimizer]\nmax_iters = 50\nseed = 99\n")
+        data = tmp_path / "d.csv"
+        write_clean_csv(data, n=50)
+        for argv in (["optimize", "--fn", "ackley", "--M", "3"],
+                     ["benchmark", "--fn", "ackley", "--M", "3"],
+                     ["estimate", str(data)]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--config", str(ini), "--seed", "5",
+                                "--out", str(out)]) == 2
+            assert "--seed" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_artifacts_and_shape(self, tmp_path):
         cfg = tmp_path / "s.ini"

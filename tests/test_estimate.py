@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import glasd.estimate
+import glasd.losses
 from glasd.estimate import estimate_correlation
 from glasd.losses import (
     LossSpec,
     iqr_threshold,
     loss_robust,
     mahalanobis_sq_all,
+    resolved_spec,
     sample_correlation,
     standardize_columns,
 )
@@ -54,6 +57,23 @@ class TestEstimateCorrelation:
         d2 = mahalanobis_sq_all(Xs, fit.corr)
         assert fit.threshold == pytest.approx(iqr_threshold(d2), rel=1e-10)
         assert fit.f_best == pytest.approx(loss_robust(Xs, fit.corr, spec), rel=1e-10)
+
+    def test_pilot_built_once_and_frozen_threshold_reported(self, monkeypatch):
+        _, Xs = make_clean_data(n=300, seed=5)
+        spec = LossSpec("truncated", "iqr-pilot")
+        expected = resolved_spec(Xs, spec).threshold
+        calls = []
+        build = glasd.losses.pilot_correlation
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(glasd.losses, "pilot_correlation", counted)
+        monkeypatch.setattr(glasd.estimate, "pilot_correlation", counted)
+        fit = estimate_correlation(Xs, spec, config=OptimizerConfig(max_iters=50),
+                                   n_starts=1, master_seed=5)
+        assert len(calls) == 1
+        assert fit.threshold == expected
 
     def test_deterministic(self):
         _, Xs = make_clean_data(n=200, seed=3)

@@ -13,6 +13,7 @@ from glasd.errors import (
 )
 from glasd.losses import (
     LOSS_KINDS,
+    _loss_value,
     AngleObjective,
     DataMatrix,
     LossSpec,
@@ -163,6 +164,21 @@ class TestRobustLoss:
             d2 = rng.uniform(0, 50, n)
             q1, q3 = np.quantile(d2, [0.25, 0.75])
             assert iqr_threshold(d2) == pytest.approx(q3 + 3.0 * (q3 - q1), rel=1e-14)
+
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(["huber", "truncated", "tukey"]),
+           d2=st.lists(st.floats(0.0, 1e4), min_size=4, max_size=200))
+    def test_sorted_split_matches_rho_reference(self, kind, d2):
+        # 'iqr-auto' splits the sorted distances at the cutoff; the rho_*
+        # functions with the same cutoff are the reference
+        d2 = np.array(d2)
+        thr = iqr_threshold(d2)
+        rho = {"huber": lambda: rho_huber(d2, thr),
+               "truncated": lambda: rho_truncated(d2, thr),
+               "tukey": lambda: rho_tukey(d2, math.sqrt(thr))}[kind]()
+        ref = float(np.sum(rho))
+        got = 2.0 * _loss_value(d2.size, 0.0, d2, kind, "iqr-auto")
+        assert abs(got - ref) <= 1e-12 * ref
 
     def test_dynamic_threshold_bounded_near_singular(self):
         # frozen cutoffs leave the truncated objective unbounded below as the

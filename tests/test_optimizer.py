@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glasd.errors import DomainMismatchError, ObjectiveEvaluationError
 from glasd.optimizer import (
+    PROB_FLOOR,
     STEP_MIN,
+    TOTAL_MAX,
+    TOTAL_MIN,
     BoxDomain,
     OptimizerConfig,
     acceptance_prob,
@@ -18,6 +22,7 @@ from glasd.optimizer import (
     multi_start_minimize,
     random_search_minimize,
 )
+from glasd.optimizer import _DirectionWeights
 
 
 def sphere(x):
@@ -218,6 +223,22 @@ class TestGlasd:
         assert max(abs(s - 1.0) for s in sums) < 1e-12
         assert min(mins) > 0.0
 
+    def test_weight_total_stays_finite_under_endless_improvement(self):
+        # every proposal improves, so the chosen direction's weight doubles at
+        # almost every step; an unrenormalized total would overflow after
+        # about a thousand accepts
+        values = itertools.count()
+        probs = []
+        cb = lambda state, move: probs.append(state.p)
+        rec = asd_minimize(lambda x: -float(next(values)), BoxDomain([0.0], [1.0]),
+                           x0=[0.5], config=OptimizerConfig(seed=3, max_iters=5000,
+                                                            epsilon=0.0),
+                           callback=cb)
+        assert rec.iterations == 5000
+        p = np.array(probs)
+        assert np.isfinite(p).all() and (p > 0).all()
+        assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+
     def test_exploration_frequency(self):
         # long run on a never-stagnating objective; fraction of explore moves
         # within 3 standard errors of 1/m
@@ -243,6 +264,51 @@ class TestGlasd:
         a = glasd_minimize(sphere, dom, config=OptimizerConfig(seed=5, max_iters=5))
         b = glasd_minimize(sphere, dom, config=OptimizerConfig(seed=5, max_iters=5))
         assert np.array_equal(a.trace, b.trace)
+
+
+# one weight update: (direction pick, log2 of the factor the weight is scaled by)
+UPDATES = st.tuples(st.integers(0, 10**6), st.floats(-12.0, 12.0))
+
+
+class TestDirectionWeights:
+    @settings(deadline=None, max_examples=200)
+    # totals that leave [TOTAL_MIN, TOTAL_MAX] upward and downward
+    @example(k=2, updates=[(0, 12.0)] * 4, u=0.5)
+    @example(k=3, updates=[(0, -12.0), (1, -12.0), (2, -12.0)] * 3, u=0.9)
+    @given(k=st.integers(2, 40), updates=st.lists(UPDATES, max_size=60),
+           u=st.floats(0.0, 1.0, exclude_max=True))
+    def test_sums_floor_and_draw(self, k, updates, u):
+        w = _DirectionWeights(k)
+        for pick, log2_factor in updates:
+            j = pick % k
+            others = np.arange(k) != j
+            before = w.weights()
+            scaled = w.weight(j) * 2.0 ** log2_factor
+            floored = max(scaled, PROB_FLOOR * w.tree[1])
+            w.put(j, scaled)
+            after = w.weights()
+            if np.array_equal(after[others], before[others]):
+                assert after[j] == floored
+            else:   # renormalized: every weight divided by the total, then floored
+                before[j] = floored
+                expected = np.maximum(before / before.sum(), PROB_FLOOR)
+                assert np.allclose(after, expected, rtol=1e-12, atol=0)
+            tree = w.tree
+            for v in range(1, w.size):
+                assert tree[v] == tree[2 * v] + tree[2 * v + 1]
+            assert TOTAL_MIN <= tree[1] <= TOTAL_MAX
+            assert (after > 0).all() and not any(tree[w.size + k:])
+            cum = np.cumsum(after)
+            target = u * after.sum()
+            if np.abs(cum - target).min() > 1e-9 * cum[-1]:
+                assert w.draw(u) == int(np.searchsorted(cum, target, side="right"))
+            assert 0 <= w.draw(u) < k
+
+    def test_draw_on_exact_boundaries(self):
+        # equal weights 1/4 make every cumulative boundary exact; a target on
+        # a boundary belongs to the direction above it, as with side="right"
+        w = _DirectionWeights(4)
+        assert [w.draw(u) for u in (0.0, 0.25, 0.5, 0.75)] == [0, 1, 2, 3]
 
 
 class TestAsd:
