@@ -38,6 +38,7 @@ from .losses import (
     standardize_columns,
 )
 from .manifold import (
+    MatrixObjective,
     angle_dim,
     angles_to_corr,
     cholesky_rows,
@@ -79,7 +80,7 @@ __all__ = [
     "loss_robust_from_factor", "mahalanobis_sq_all", "outlier_report",
     "read_data_csv", "resolve_threshold", "rho_huber", "rho_truncated",
     "rho_tukey", "sample_correlation", "shrink_to_pd", "standardize_columns",
-    "angle_dim", "angles_to_corr", "cholesky_rows", "corr_to_angles",
+    "MatrixObjective", "angle_dim", "angles_to_corr", "cholesky_rows", "corr_to_angles",
     "default_angle_box", "factor_row", "minimize_over_corr",
     "BoxDomain", "OptimizerConfig", "RunRecord", "acceptance_prob",
     "asd_minimize", "clip_step", "glasd_minimize", "multi_start_minimize",

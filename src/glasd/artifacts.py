@@ -53,14 +53,6 @@ def write_angles_csv(path, angles: np.ndarray) -> None:
         fh.write(",".join(fmt(v) for v in np.asarray(angles, dtype=float)) + "\n")
 
 
-def read_angles_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline().strip()
-    if not line:
-        raise MalformedDataError(f"{path}: empty file")
-    return np.array([float(tok) for tok in line.split(",")])
-
-
 def write_trace_csv(path, trace: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,evaluations,f_best\n")
@@ -110,7 +102,7 @@ def ensure_outdir(out, record_name: str, force: bool) -> str:
 # config files (INI: flat key/value entries grouped into sections)
 
 _OPTIMIZER_KEYS = {
-    "s_init": float, "p_init": float,
+    "s_init": float,
     "s_inc": float, "s_dec": float, "p_inc": float, "p_dec": float,
     "m": int, "c": float, "r_policy": str, "r": float,
     "max_iters": int, "stagnation_window": int, "epsilon": float,

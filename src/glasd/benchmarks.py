@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,33 +18,37 @@ from .errors import DomainMismatchError
 from .optimizer import BoxDomain
 
 
+# The reductions below are the ones np.mean, np.sum and np.prod perform
+# (np.mean is np.add.reduce divided by the count), called without the
+# wrappers' per-call overhead, so the values are bit-identical.
+
 def ackley(x):
     x = np.asarray(x, dtype=float)
     d = x.size
-    return (-20.0 * math.exp(-0.2 * math.sqrt(float(np.mean(x * x))))
-            - math.exp(float(np.mean(np.cos(2 * math.pi * x))))
+    return (-20.0 * math.exp(-0.2 * math.sqrt(float(np.add.reduce(x * x)) / d))
+            - math.exp(float(np.add.reduce(np.cos(2 * math.pi * x))) / d)
             + 20.0 + math.e)
 
 
 def griewank(x):
     x = np.asarray(x, dtype=float)
     i = np.arange(1, x.size + 1)
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    return float((x * x).sum() / 4000.0 - np.cos(x / np.sqrt(i)).prod() + 1.0)
 
 
 def rastrigin(x):
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2 * math.pi * x)))
+    return float(10.0 * x.size + (x * x - 10.0 * np.cos(2 * math.pi * x)).sum())
 
 
 def rosenbrock(x):
     x = np.asarray(x, dtype=float)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
 
 
 def sumsquares(x):
     x = np.asarray(x, dtype=float)
-    return float(np.sum(np.arange(1, x.size + 1) * x * x))
+    return float((np.arange(1, x.size + 1) * x * x).sum())
 
 
 # name -> (function, conventional box bounds, off-diagonal scale)
@@ -86,11 +91,17 @@ class BenchmarkSpec:
             raise ValueError("box dimension must be >= 1")
 
 
+@lru_cache(maxsize=64)
+def _offdiag_mask(M: int) -> np.ndarray:
+    mask = ~np.eye(M, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def vec_offdiag(C: np.ndarray, scale: float) -> np.ndarray:
     """Scaled off-diagonal entries, all ordered pairs, row-major; length M(M-1)."""
     C = np.asarray(C, dtype=float)
-    mask = ~np.eye(C.shape[0], dtype=bool)
-    return scale * C[mask]
+    return scale * C[_offdiag_mask(C.shape[0])]
 
 
 def eval_benchmark(spec: BenchmarkSpec, point) -> float:

@@ -53,7 +53,7 @@ from .errors import (
     MalformedDataError,
     NotPositiveDefiniteError,
 )
-from .manifold import angle_dim, cholesky_rows, factor_row
+from .manifold import OneAngleObjective, cholesky_rows
 
 LOSS_KINDS = ("gaussian", "huber", "truncated", "tukey")
 THRESHOLD_POLICIES = ("iqr-auto", "iqr-pilot")
@@ -295,16 +295,17 @@ def loss_robust_from_factor(X, L: np.ndarray, spec: LossSpec) -> float:
     return _fit_loss_from_factor(V, L, spec.kind, thr)
 
 
-class AngleObjective:
+class AngleObjective(OneAngleObjective):
     """The loss of ``spec`` on data X as a function of the angle vector.
 
     ``f(angles)`` equals ``loss_robust_from_factor(X, cholesky_rows(angles),
     spec)`` up to rounding; ``spec`` must not hold an unresolved 'iqr-pilot'.
-    It is built for the single-coordinate search, whose proposals move one
-    angle, and one angle of factor row r changes only row r of L.  For a base
-    point it caches L, Y = L^{-1} X^T (one row per variable) and the
-    per-column prefix sums of the squared rows of Y.  A point one angle away
-    from the base costs O(pn) instead of O(p^2 n):
+    The move rule (which cached point a proposal is one angle from, and when
+    the full path runs) is :class:`~glasd.manifold.OneAngleObjective`'s.  For
+    a base point this objective caches, besides L, Y = L^{-1} X^T (one row per
+    variable) and the per-column prefix sums of the squared rows of Y.  A
+    point one angle away from the base, in factor row r, costs O(pn) instead
+    of O(p^2 n):
 
     * row r alone is rebuilt from its angles (:func:`factor_row`);
     * ``y'_r = (x_r - L'[r,:r] Y[:r]) / L'[r,r]``; rows above r keep their Y;
@@ -314,18 +315,10 @@ class AngleObjective:
     * ``d^2 = prefix[r-1] + y'_r^2 +`` column sums of the squared new tail,
       and log det swaps one diagonal entry.
 
-    The evaluated point is kept as pending.  The next call promotes it to the
-    base when that call's point is one angle from it, and either more than
-    one angle from the base or, when both are one angle away, the pending
-    value is lower (a descent search accepts a lower value).  Any other
-    point (a new start, a warm start, a jump in several angles) takes the
-    full path: :func:`cholesky_rows` plus one n p^2 triangular solve.  The
-    guess only decides which path runs; every path evaluates the point it
-    is given.
-
-    Per observation it also keeps the largest d^2 of the base points since
-    the last full solve.  A one-angle result whose d^2 lies more than
-    ``GROWTH_LIMIT`` below that (say after leaving a near-singular point)
+    The full path is :func:`cholesky_rows` plus one n p^2 triangular solve.
+    Per observation the objective also keeps the largest d^2 of the base
+    points since the last full solve.  A one-angle result whose d^2 lies more
+    than ``GROWTH_LIMIT`` below that (say after leaving a near-singular point)
     would carry the cancellation error of the large values, so that point
     takes the full path instead.
     """
@@ -333,13 +326,11 @@ class AngleObjective:
     def __init__(self, X, spec: LossSpec):
         V = _values(X)
         n, p = V.shape
+        super().__init__(p)
         self._V = V
         self._XT = np.ascontiguousarray(V.T)
         self._kind = spec.kind
         self._thr = None if spec.kind == "gaussian" else _loss_threshold(spec)
-        self._dim = angle_dim(p)
-        self._row_of = np.repeat(np.arange(1, p), np.arange(1, p))  # angle -> factor row
-        self._L = np.empty((p, p))
         self._Y = np.empty((p, n))
         self._prefix = np.empty((p, n))   # prefix[i] = column sums of Y[:i+1]**2
         self._fresh = 0                   # prefix rows below this are current
@@ -347,26 +338,6 @@ class AngleObjective:
         self._logsum = 0.0
         self._tail = np.empty((p, n))     # Y rows r..p-1 of the pending point
         self._d2_floor = np.empty(n)      # largest base d^2 / GROWTH_LIMIT
-        self._base = None
-        self._value = math.nan
-        self._pending = None              # (angles, value, row index r, new row r, d2)
-
-    def __call__(self, angles) -> float:
-        a = np.asarray(angles, dtype=float)
-        if self._base is None or a.shape != self._base.shape:
-            return self._full(a)
-        moved = np.nonzero(a != self._base)[0]
-        if self._pending is not None and (moved.size > 1
-                                          or self._pending[1] < self._value):
-            from_pending = np.nonzero(a != self._pending[0])[0]
-            if from_pending.size <= 1:
-                self._promote()
-                moved = from_pending
-        if moved.size == 0:
-            return self._value
-        if moved.size == 1:
-            return self._one_angle(a, int(moved[0]))
-        return self._full(a)
 
     def threshold_at(self, angles) -> float | None:
         """The d^2 cutoff in force at ``angles``: None for gaussian, the fixed
@@ -376,29 +347,18 @@ class AngleObjective:
         Y = _whiten(self._V, cholesky_rows(angles))
         return _iqr_cutoff(np.sort(np.einsum("ij,ij->j", Y, Y)))
 
-    def _full(self, a: np.ndarray) -> float:
-        if a.shape != (self._dim,):
-            raise DomainMismatchError(
-                f"expected {self._dim} angles for {self._V.shape[1]} data columns, "
-                f"got shape {a.shape}")
-        L = cholesky_rows(a)
+    def _rebase(self, L: np.ndarray) -> float:
         Y = _whiten(self._V, L)
-        self._L[:] = L
         self._Y[:] = Y
         self._fresh = 0
         np.log(np.diag(L), out=self._logdiag)
         self._logsum = float(np.sum(self._logdiag))
-        self._base, self._pending = a.copy(), None
         d2 = np.einsum("ij,ij->j", Y, Y)
         np.divide(d2, GROWTH_LIMIT, out=self._d2_floor)
-        self._value = _loss_value(self._V.shape[0], 2.0 * self._logsum, d2,
-                                  self._kind, self._thr)
-        return self._value
+        return _loss_value(self._V.shape[0], 2.0 * self._logsum, d2,
+                           self._kind, self._thr)
 
-    def _one_angle(self, a: np.ndarray, i: int) -> float:
-        r = int(self._row_of[i])
-        off = r * (r - 1) // 2
-        row = factor_row(a[off:off + r])
+    def _move(self, r: int, row: np.ndarray):
         L, Y, tail = self._L, self._Y, self._tail
         y = tail[r]
         np.dot(row[:r], Y[:r], out=y)
@@ -413,11 +373,9 @@ class AngleObjective:
             dger(-1.0, y - Y[r], z, a=below.T, overwrite_a=1)
             d2 += np.einsum("ij,ij->j", below, below)
         if (d2 < self._d2_floor).any():
-            return self._full(a)
+            return None
         logdet = 2.0 * (self._logsum - self._logdiag[r] + math.log(row[r]))
-        value = _loss_value(self._V.shape[0], logdet, d2, self._kind, self._thr)
-        self._pending = (a.copy(), value, r, row, d2)
-        return value
+        return _loss_value(self._V.shape[0], logdet, d2, self._kind, self._thr), d2
 
     def _head_sq(self, r: int) -> np.ndarray:
         """Column sums of Y[:r]**2 for the base, extending stale prefix rows."""
@@ -429,15 +387,12 @@ class AngleObjective:
         self._fresh = max(self._fresh, r)
         return P[r - 1]
 
-    def _promote(self) -> None:
-        a, value, r, row, d2 = self._pending
-        self._L[r, :r + 1] = row
+    def _accept(self, r: int, row: np.ndarray, d2: np.ndarray) -> None:
         self._Y[r:] = self._tail[r:]
         self._fresh = min(self._fresh, r)
         self._logdiag[r] = math.log(row[r])
         self._logsum = float(np.sum(self._logdiag))
         np.maximum(self._d2_floor, d2 / GROWTH_LIMIT, out=self._d2_floor)
-        self._base, self._value, self._pending = a, value, None
 
 
 def iqr_threshold(values, multiplier: float = 3.0) -> float:

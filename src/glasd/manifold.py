@@ -18,6 +18,13 @@ Stacking the per-row angle blocks gives a vector of ``M(M-1)/2`` angles whose
 compact box is a valid search domain for the box optimizer: every point of the
 box maps to a valid correlation matrix, and every full-rank correlation matrix
 maps back to a unique interior angle vector.
+
+The search moves one angle per proposal, and one angle of row m changes
+only row m of the factor.  :class:`OneAngleObjective` holds the move rule
+shared by the objectives over the angle vector: it caches the factor of a
+base point and rebuilds the moved row alone (:func:`factor_row`).  With it,
+:class:`MatrixObjective` evaluates a black-box matrix loss at O(M^2) per
+one-angle move, by rewriting one row and column of the cached matrix.
 """
 
 from __future__ import annotations
@@ -128,7 +135,7 @@ def factor_row(row_angles: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(row_angles, dtype=float)
     c = np.cos(w)
-    full = np.cumprod(np.sin(w))
+    full = np.sin(w).cumprod()
     row = np.empty(w.shape[0] + 1)
     row[-1] = c[0]
     row[-2:0:-1] = full[:-1] * c[1:]
@@ -142,7 +149,11 @@ def angles_to_corr(angles: np.ndarray) -> np.ndarray:
     The output is stored exactly symmetric with an exact unit diagonal and all
     entries clipped into [-1, 1].
     """
-    L = cholesky_rows(angles)
+    return _corr_from_factor(cholesky_rows(angles))
+
+
+def _corr_from_factor(L: np.ndarray) -> np.ndarray:
+    """C = L L^T, symmetrized, with unit diagonal and entries clipped to [-1, 1]."""
     C = L @ L.T
     C = (C + C.T) * 0.5
     np.fill_diagonal(C, 1.0)
@@ -205,6 +216,142 @@ def corr_to_angles(C: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(angles, box.lower), box.upper)
 
 
+class OneAngleObjective:
+    """Base of the objectives over the angle vector that exploit one-angle moves.
+
+    The single-coordinate search proposes points one angle away from its
+    current point, and one angle of factor row r changes only row r of L.
+    The objective caches the factor ``L`` of a base point; a subclass caches
+    what it derives from ``L`` and implements
+
+    * ``_rebase(L)``: the value at a new base point whose factor is ``L``;
+    * ``_move(r, row)``: the value at the base with factor row r replaced by
+      ``row`` (entries ``L[r, :r+1]``), as ``(value, payload)``, or None to
+      send the point down the full path;
+    * ``_accept(r, row, payload)``: make that moved point the base.
+
+    The evaluated point is kept as pending.  The next call promotes it to the
+    base when that call's point is one angle from it, and either more than
+    one angle from the base or, when both are one angle away, the pending
+    value is lower (a descent search accepts a lower value).  Any other
+    point (a new start, a warm start, a jump in several angles) takes the
+    full path: :func:`cholesky_rows` plus ``_rebase``.  The guess only
+    decides which path runs; every path evaluates the point it is given.
+    """
+
+    def __init__(self, M: int):
+        self._dim = angle_dim(M)
+        self._row_of = np.repeat(np.arange(1, M), np.arange(1, M))  # angle -> factor row
+        self._L = np.empty((M, M))
+        self._base = None
+        self._value = math.nan
+        self._pending = None              # (angles, value, row index r, new row r, payload)
+
+    def __call__(self, angles) -> float:
+        a = np.asarray(angles, dtype=float)
+        if self._base is None or a.shape != self._base.shape:
+            return self._full(a)
+        moved = (a != self._base).nonzero()[0]
+        if self._pending is not None and (moved.size > 1
+                                          or self._pending[1] < self._value):
+            from_pending = (a != self._pending[0]).nonzero()[0]
+            if from_pending.size <= 1:
+                self._promote()
+                moved = from_pending
+        if moved.size == 0:
+            return self._value
+        if moved.size == 1:
+            return self._one_angle(a, int(moved[0]))
+        return self._full(a)
+
+    def _full(self, a: np.ndarray) -> float:
+        if a.shape != (self._dim,):
+            raise DomainMismatchError(
+                f"expected {self._dim} angles for a {self._L.shape[0]} x "
+                f"{self._L.shape[0]} matrix, got shape {a.shape}")
+        self._base = self._pending = None
+        L = cholesky_rows(a)
+        self._L[:] = L
+        value = self._rebase(L)
+        self._base, self._value = a.copy(), value
+        return value
+
+    def _one_angle(self, a: np.ndarray, i: int) -> float:
+        r = int(self._row_of[i])
+        off = r * (r - 1) // 2
+        row = factor_row(a[off:off + r])
+        self._pending = None
+        moved = self._move(r, row)
+        if moved is None:
+            return self._full(a)
+        value, payload = moved
+        self._pending = (a.copy(), value, r, row, payload)
+        return value
+
+    def _promote(self) -> None:
+        a, value, r, row, payload = self._pending
+        self._L[r, :r + 1] = row
+        self._accept(r, row, payload)
+        self._base, self._value, self._pending = a, value, None
+
+    def _rebase(self, L: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def _move(self, r: int, row: np.ndarray):
+        raise NotImplementedError
+
+    def _accept(self, r: int, row: np.ndarray, payload) -> None:
+        raise NotImplementedError
+
+
+class MatrixObjective(OneAngleObjective):
+    """A black-box loss on M x M correlation matrices as a function of the angles.
+
+    ``f(angles)`` is ``loss(C)`` for the correlation matrix of ``angles``;
+    a loss that raises :class:`NotPositiveDefiniteError` scores
+    ``SINGULAR_PENALTY``.  For the base point it caches L and C.  A one-angle
+    move in factor row r changes only row r of L, hence only row and column
+    r of C = L L^T, so it costs O(M^2): the row is rebuilt alone
+    (:func:`factor_row`), ``c = L[:, :r+1] @ row`` is its new column of C,
+    with ``c[r] = 1`` and every entry clipped to [-1, 1], and ``c`` is written
+    into row r and column r of a fresh copy of C.  The full path derives C
+    from the factor as :func:`angles_to_corr` does.
+
+    Every matrix the loss receives is a fresh array it may keep or modify:
+    exactly symmetric, with an exact unit diagonal and entries in [-1, 1].
+    Each entry is one dot product of two factor rows, so it can differ from
+    ``angles_to_corr(angles)`` in the last bit.
+    """
+
+    def __init__(self, loss, M: int):
+        super().__init__(M)
+        self._loss = loss
+        self._C = np.empty((M, M))
+
+    def _rebase(self, L: np.ndarray) -> float:
+        self._C = _corr_from_factor(L)
+        return self._evaluate(self._C.copy())
+
+    def _move(self, r: int, row: np.ndarray):
+        c = self._L[:, :r + 1] @ row
+        c[r] = 1.0
+        np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c)    # clip to [-1, 1]
+        C = self._C.copy()
+        C[r] = c
+        C[:, r] = c
+        return self._evaluate(C), c
+
+    def _accept(self, r: int, row: np.ndarray, c: np.ndarray) -> None:
+        self._C[r] = c
+        self._C[:, r] = c
+
+    def _evaluate(self, C: np.ndarray):
+        try:
+            return self._loss(C)
+        except NotPositiveDefiniteError:
+            return SINGULAR_PENALTY
+
+
 def minimize_over_corr(
     loss,
     M: int,
@@ -218,22 +365,19 @@ def minimize_over_corr(
     ``loss`` takes a correlation matrix and returns a float.  ``n_starts``
     independent runs use seeds derived from ``master_seed``; the first run can
     be warm-started from an angle vector.  Returns the matrix of the run with
-    the smallest best value together with all run records.
+    the smallest best value, ``angles_to_corr`` of its best angles, together
+    with all run records.
 
-    Near the extreme corners of the angle box the reconstructed matrix can be
-    numerically rank deficient even though it is full rank in exact
-    arithmetic; a loss that rejects it with a not-positive-definite error is
-    mapped to a huge finite value so the proposal is simply rejected.
+    The runs share one :class:`MatrixObjective`: a proposal that moves one
+    angle rebuilds one factor row and one row and column of the matrix, at
+    O(M^2), and the loss receives a fresh, exactly symmetric matrix with a
+    unit diagonal.  Near the extreme corners of the angle box that matrix can
+    be numerically rank deficient even though it is full rank in exact
+    arithmetic; a loss that rejects it with a not-positive-definite error
+    scores ``SINGULAR_PENALTY``, so the proposal is simply rejected.
     """
-    def objective(ang):
-        C = angles_to_corr(ang)
-        try:
-            return loss(C)
-        except NotPositiveDefiniteError:
-            return SINGULAR_PENALTY
-
     records = multi_start_minimize(
-        objective,
+        MatrixObjective(loss, M),
         default_angle_box(M),
         config=config,
         n_starts=n_starts,

@@ -79,14 +79,13 @@ class BoxDomain:
 class OptimizerConfig:
     """Tuning parameters.  ``None`` means "derive the default from the dimension".
 
-    Derived defaults: ``p_init = 1/(2n)``, ``c = 0.001*ln(n)``,
-    ``max_iters = round(3000*ln(n))`` and ``stagnation_window = 4n``, with
-    ``ln(max(n, 2))`` replacing ``ln(n)`` so one-dimensional problems keep a
-    positive temperature and budget.
+    Derived defaults: ``c = 0.001*ln(n)``, ``max_iters = round(3000*ln(n))``
+    and ``stagnation_window = 4n``, with ``ln(max(n, 2))`` replacing ``ln(n)``
+    so one-dimensional problems keep a positive temperature and budget.  The
+    2n direction weights always start equal.
     """
 
     s_init: float = 0.1
-    p_init: float | None = None
     s_inc: float = 2.0
     s_dec: float = 2.0
     p_inc: float = 2.0
@@ -126,7 +125,6 @@ class OptimizerConfig:
         logn = math.log(max(n, 2))
         return ResolvedConfig(
             s_init=self.s_init,
-            p_init=self.p_init if self.p_init is not None else 1.0 / (2 * n),
             s_inc=self.s_inc, s_dec=self.s_dec,
             p_inc=self.p_inc, p_dec=self.p_dec,
             m=self.m,
@@ -145,7 +143,6 @@ class ResolvedConfig:
     """OptimizerConfig with every dimension-dependent default filled in."""
 
     s_init: float
-    p_init: float
     s_inc: float
     s_dec: float
     p_inc: float

@@ -119,6 +119,13 @@ class TestOptimizerOverrides:
         with pytest.raises(ConfigError):
             load_optimizer_overrides(path)
 
+    def test_p_init_is_not_a_key(self, tmp_path):
+        # the direction weights always start equal; there is no p_init to set
+        path = tmp_path / "o.ini"
+        path.write_text("[optimizer]\np_init = 0.4\n")
+        with pytest.raises(ConfigError, match="p_init"):
+            load_optimizer_overrides(path)
+
 
 class TestLossSpecParsing:
     def test_iqr(self):

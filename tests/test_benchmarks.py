@@ -54,7 +54,33 @@ REFS = {
 }
 
 
+# the numpy-wrapper forms (np.mean, np.sum, np.prod): the functions must
+# reproduce their bits exactly
+NUMPY_FORMS = {
+    "ackley": lambda x: (-20.0 * math.exp(-0.2 * math.sqrt(float(np.mean(x * x))))
+                         - math.exp(float(np.mean(np.cos(2 * math.pi * x))))
+                         + 20.0 + math.e),
+    "griewank": lambda x: float(np.sum(x * x) / 4000.0
+                                - np.prod(np.cos(x / np.sqrt(np.arange(1, x.size + 1))))
+                                + 1.0),
+    "rastrigin": lambda x: float(10.0 * x.size
+                                 + np.sum(x * x - 10.0 * np.cos(2 * math.pi * x))),
+    "rosenbrock": lambda x: float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                         + (x[:-1] - 1.0) ** 2)),
+    "sumsquares": lambda x: float(np.sum(np.arange(1, x.size + 1) * x * x)),
+}
+
+
 class TestFormulas:
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_bit_identical_to_numpy_forms(self, name):
+        rng = np.random.default_rng(11)
+        func = BENCHMARKS[name][0]
+        lo, hi = BENCHMARKS[name][1]
+        for _ in range(500):
+            x = rng.uniform(lo, hi, int(rng.integers(2, 200)))
+            assert func(x) == NUMPY_FORMS[name](x)
+
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_agrees_with_reference(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -91,6 +117,13 @@ class TestVecOffdiag:
     def test_length(self):
         C = np.eye(5)
         assert vec_offdiag(C, 10.0).shape == (20,)
+
+    def test_mask_is_cached_read_only(self):
+        from glasd.benchmarks import _offdiag_mask
+
+        assert _offdiag_mask(4) is _offdiag_mask(4)
+        with pytest.raises(ValueError):
+            _offdiag_mask(4)[0, 1] = False
 
     def test_row_major_order(self):
         C = np.array([[1.0, 0.1, 0.2], [0.1, 1.0, 0.3], [0.2, 0.3, 1.0]])

@@ -187,6 +187,18 @@ class TestConfigSeed:
             assert not out.exists()
 
 
+class TestConfigPInit:
+    def test_optimizer_p_init_rejected(self, tmp_path, capsys):
+        # the direction weights always start equal; p_init is not a key
+        ini = tmp_path / "opt.ini"
+        ini.write_text("[optimizer]\nmax_iters = 50\np_init = 0.4\n")
+        out = tmp_path / "run"
+        assert main(["optimize", "--fn", "ackley", "--M", "3", "--config", str(ini),
+                     "--seed", "5", "--out", str(out)]) == 2
+        assert "p_init" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_artifacts_and_shape(self, tmp_path):
         cfg = tmp_path / "s.ini"

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from glasd.errors import DomainMismatchError, NotPositiveDefiniteError
 from glasd.manifold import (
     ANGLE_MARGIN,
+    SINGULAR_PENALTY,
+    MatrixObjective,
     angle_dim,
     angles_to_corr,
     check_correlation,
@@ -124,6 +126,116 @@ class TestForwardMap:
                 check_correlation(C)
 
 
+# one move: (coordinate pick, position in the box, accept?, shape of the move)
+MOVES = st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0), st.booleans(),
+                  st.sampled_from(["one", "same", "jump"]))
+
+
+def _walk(box, rng, moves):
+    """Points of a search that follows accept/reject: one-angle moves (box
+    bounds included), repeated moves of the same angle and two-angle jumps."""
+    current = rng.uniform(box.lower, box.upper)
+    yield current
+    i = 0
+    for pick, frac, accept, shape in moves:
+        a = current.copy()
+        if shape != "same":
+            i = pick % a.size
+        a[i] = box.lower[i] + frac * (box.upper[i] - box.lower[i])
+        if shape == "jump":
+            j = (i + 1 + pick // a.size) % a.size
+            a[j] = rng.uniform(box.lower[j], box.upper[j])
+        yield a
+        if accept:
+            current = a
+
+
+class TestMatrixObjective:
+    @settings(deadline=None, max_examples=150)
+    @given(M=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           moves=st.lists(MOVES, min_size=1, max_size=40))
+    def test_loss_sees_the_matrix_of_the_point(self, M, seed, moves):
+        rng = np.random.default_rng(seed)
+        box = default_angle_box(M)
+        target = angles_to_corr(rng.uniform(box.lower, box.upper))
+        seen = []
+
+        def loss(C):
+            seen.append(C)
+            return float(np.sum((C - target) ** 2))
+
+        f = MatrixObjective(loss, M)
+        last = {}
+        for a in _walk(box, rng, moves):
+            before = len(seen)
+            value = f(a)
+            if len(seen) == before:          # the cached base point itself
+                assert value == last[a.tobytes()]
+            else:
+                C = seen[-1]
+                assert np.array_equal(C, C.T)
+                assert (np.diag(C) == 1.0).all()
+                assert np.abs(C).max() <= 1.0
+                assert np.abs(C - angles_to_corr(a)).max() <= 1e-15
+                assert value == float(np.sum((C - target) ** 2))
+            last[a.tobytes()] = value
+
+    def test_loss_may_modify_its_argument(self):
+        rng = np.random.default_rng(3)
+        M = 6
+        box = default_angle_box(M)
+        target = angles_to_corr(rng.uniform(box.lower, box.upper))
+
+        def clean(C):
+            return float(np.sum((C - target) ** 2))
+
+        def dirty(C):
+            value = clean(C)
+            C[:] = 0.5
+            return value
+
+        f, g = MatrixObjective(clean, M), MatrixObjective(dirty, M)
+        moves = [(int(rng.integers(10**6)), float(rng.random()), bool(rng.random() < 0.5),
+                  "one") for _ in range(200)]
+        for a in _walk(box, rng, moves):
+            assert g(a) == f(a)
+
+    def test_one_angle_moves_skip_the_full_rebuild(self, monkeypatch):
+        import glasd.manifold
+
+        calls = {"cholesky_rows": 0, "angles_to_corr": 0}
+        for name in calls:
+            def counted(a, _orig=getattr(glasd.manifold, name), _name=name):
+                calls[_name] += 1
+                return _orig(a)
+            monkeypatch.setattr(glasd.manifold, name, counted)
+        rng = np.random.default_rng(4)
+        box = default_angle_box(6)
+        f = MatrixObjective(lambda C: float(C.sum()), 6)
+        a = rng.uniform(box.lower, box.upper)
+        f(a)
+        assert calls == {"cholesky_rows": 1, "angles_to_corr": 0}
+        for i in (0, 7, 14, 7):
+            a = a.copy()
+            a[i] = rng.uniform(box.lower[i], box.upper[i])
+            f(a)                              # accepted: the next move starts here
+        assert calls == {"cholesky_rows": 1, "angles_to_corr": 0}
+        a[[2, 9]] = box.lower[[2, 9]]
+        f(a)                                  # two angles at once: full path
+        assert calls == {"cholesky_rows": 2, "angles_to_corr": 0}
+
+        calls.update(cholesky_rows=0, angles_to_corr=0)
+        minimize_over_corr(lambda C: float(np.sum((C - np.eye(4)) ** 2)), 4,
+                           config=OptimizerConfig(max_iters=300), n_starts=3, master_seed=5)
+        # one full path per start, plus the returned matrix
+        assert calls == {"cholesky_rows": 4, "angles_to_corr": 1}
+
+    def test_dimension_mismatch(self):
+        f = MatrixObjective(lambda C: 0.0, 4)
+        with pytest.raises(DomainMismatchError):
+            f(np.zeros(5))
+
+
 class TestInverseMap:
     def test_identity_recovers_zero_first_angles(self):
         a = corr_to_angles(np.eye(3))
@@ -178,6 +290,28 @@ class TestMinimizeOverCorr:
         C, records = minimize_over_corr(loss, 3, config=OptimizerConfig(max_iters=50),
                                         n_starts=4, master_seed=7)
         best = min(records, key=lambda r: r.f_best)
+        assert loss(C) == pytest.approx(best.f_best, rel=1e-12)
+
+    def test_singular_loss_scores_the_penalty(self):
+        # a loss that rejects part of the box as not positive definite; its
+        # minimizer lies in that part, so the search keeps running into it
+        target = np.full((3, 3), 0.9)
+        np.fill_diagonal(target, 1.0)
+        raised = []
+
+        def loss(C):
+            if C[1, 0] > 0.5:
+                raised.append(1)
+                raise NotPositiveDefiniteError("rejected")
+            return float(np.sum((C - target) ** 2))
+
+        C, records = minimize_over_corr(loss, 3, config=OptimizerConfig(max_iters=400),
+                                        n_starts=3, master_seed=2)
+        assert raised
+        assert all(math.isfinite(rec.f_best) for rec in records)
+        best = min(records, key=lambda r: r.f_best)
+        assert best.f_best < SINGULAR_PENALTY
+        assert C[1, 0] <= 0.5
         assert loss(C) == pytest.approx(best.f_best, rel=1e-12)
 
     def test_gaussian_fit_matches_sample_correlation(self):
