@@ -174,9 +174,13 @@ def rho_tukey(d2, tau: float):
     """Biweight: rises to the plateau tau^2/6 at d2 = tau^2 and stays there."""
     d2 = np.asarray(d2, dtype=float)
     tau2 = tau * tau
-    inner = 1.0 - np.minimum(d2, tau2) / tau2
-    out = (tau2 / 6.0) * (1.0 - inner**3)
+    out = (tau2 / 6.0) * _biweight(np.minimum(d2, tau2) / tau2)
     return float(out) if out.ndim == 0 else out
+
+
+def _biweight(u):
+    """1 - (1 - u)^3 for u in [0, 1], in a form without cancellation at small u."""
+    return u * (3.0 + u * (u - 3.0))
 
 
 def rho_truncated(d2, tau: float):
@@ -214,8 +218,9 @@ def _rho_sum_auto(d2: np.ndarray, kind: str) -> float:
     thr = _iqr_cutoff(s)
     if kind == "tukey":
         tau2 = math.sqrt(thr) ** 2            # the plateau location rho_tukey uses
-        inner = 1.0 - s[:s.searchsorted(tau2)] / tau2
-        return (tau2 / 6.0) * (s.size - float(np.dot(inner * inner, inner)))
+        u = s[:s.searchsorted(tau2)] / tau2
+        # sum of _biweight(u), with the last product folded into one dot
+        return (tau2 / 6.0) * (float(np.dot(u, 3.0 + u * (u - 3.0))) + (s.size - u.size))
     k = int(s.searchsorted(thr, side="right"))
     rho_sum = float(s[:k].sum())
     if kind == "truncated":

@@ -166,6 +166,11 @@ class TestRobustLoss:
             assert iqr_threshold(d2) == pytest.approx(q3 + 3.0 * (q3 - q1), rel=1e-14)
 
     @settings(max_examples=300)
+    # tukey's 1 - (1 - u)^3 cancels for u << 1 unless written without the
+    # subtraction; a subnormal result carries no relative accuracy at all
+    @example(kind="tukey", d2=[0.0, 0.0, 0.0, 1.3181207996528282e-19])
+    @example(kind="tukey", d2=[0.0, 0.0, 0.0, 5e-324])
+    @example(kind="tukey", d2=[0.0, 0.0, 5e-324, 5e-324])
     @given(kind=st.sampled_from(["huber", "truncated", "tukey"]),
            d2=st.lists(st.floats(0.0, 1e4), min_size=4, max_size=200))
     def test_sorted_split_matches_rho_reference(self, kind, d2):
@@ -178,7 +183,14 @@ class TestRobustLoss:
                "tukey": lambda: rho_tukey(d2, math.sqrt(thr))}[kind]()
         ref = float(np.sum(rho))
         got = 2.0 * _loss_value(d2.size, 0.0, d2, kind, "iqr-auto")
-        assert abs(got - ref) <= 1e-12 * ref
+        assert abs(got - ref) <= 1e-12 * ref + np.finfo(float).tiny
+
+    def test_tukey_small_distances_keep_relative_accuracy(self):
+        # rho(d2) = d2/2 - d2^2/(2 tau^2) + ... near zero
+        tau = 2.0
+        for d2 in (1e-19, 1e-12, 1e-6):
+            exact = 0.5 * d2 - d2 * d2 / (2 * tau**2) + d2**3 / (6 * tau**4)
+            assert rho_tukey(d2, tau) == pytest.approx(exact, rel=1e-15)
 
     def test_dynamic_threshold_bounded_near_singular(self):
         # frozen cutoffs leave the truncated objective unbounded below as the
