@@ -230,11 +230,6 @@ class TestMatrixObjective:
         # one full path per start, plus the returned matrix
         assert calls == {"cholesky_rows": 4, "angles_to_corr": 1}
 
-    def test_dimension_mismatch(self):
-        f = MatrixObjective(lambda C: 0.0, 4)
-        with pytest.raises(DomainMismatchError):
-            f(np.zeros(5))
-
 
 class TestInverseMap:
     def test_identity_recovers_zero_first_angles(self):
