@@ -326,7 +326,7 @@ class MatrixObjective(OneAngleObjective):
     def __init__(self, loss, M: int):
         super().__init__(M)
         self._loss = loss
-        self._C = np.empty((M, M))
+        self._C = None                    # C of the base point
 
     def _rebase(self, L: np.ndarray) -> float:
         self._C = _corr_from_factor(L)
