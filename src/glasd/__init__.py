@@ -25,7 +25,6 @@ from .losses import (
     iqr_threshold,
     loss_gaussian,
     loss_robust,
-    loss_robust_from_factor,
     mahalanobis_sq_all,
     outlier_report,
     read_data_csv,
@@ -53,7 +52,6 @@ from .optimizer import (
     RunRecord,
     acceptance_prob,
     asd_minimize,
-    clip_step,
     glasd_minimize,
     multi_start_minimize,
     random_search_minimize,
@@ -77,13 +75,13 @@ __all__ = [
     "MalformedDataError", "NotPositiveDefiniteError", "ObjectiveEvaluationError",
     "EstimateResult", "estimate_correlation",
     "AngleObjective", "DataMatrix", "LossSpec", "iqr_threshold", "loss_gaussian", "loss_robust",
-    "loss_robust_from_factor", "mahalanobis_sq_all", "outlier_report",
+    "mahalanobis_sq_all", "outlier_report",
     "read_data_csv", "resolve_threshold", "rho_huber", "rho_truncated",
     "rho_tukey", "sample_correlation", "shrink_to_pd", "standardize_columns",
     "MatrixObjective", "angle_dim", "angles_to_corr", "cholesky_rows", "corr_to_angles",
     "default_angle_box", "factor_row", "minimize_over_corr",
     "BoxDomain", "OptimizerConfig", "RunRecord", "acceptance_prob",
-    "asd_minimize", "clip_step", "glasd_minimize", "multi_start_minimize",
+    "asd_minimize", "glasd_minimize", "multi_start_minimize",
     "random_search_minimize",
     "ContaminationSpec", "ScenarioSpec", "StructureSpec", "contaminate",
     "gen_structure", "rmse", "run_scenario", "sample_data",

@@ -41,12 +41,23 @@ from .losses import outlier_report, read_data_csv, standardize_columns
 from .manifold import angles_to_corr, default_angle_box, minimize_over_corr
 from .optimizer import (
     OptimizerConfig,
-    _fresh_seed,
+    _resolve_seed,
     derive_seeds,
     multi_start_minimize,
     random_search_minimize,
 )
 from .simulate import run_scenario
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_loss=False):
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--starts", type=int, default=10, help="independent restarts")
+        p.add_argument("--starts", type=_at_least(1), default=10, help="independent restarts")
         p.add_argument("--out", default="glasd_out", help="output directory")
         p.add_argument("--force", action="store_true", help="overwrite an existing run record")
         p.add_argument("--config", default=None, help="INI file with an [optimizer] section")
@@ -74,16 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="minimize one benchmark function")
     p_opt.add_argument("--fn", required=True, choices=sorted(BENCHMARKS))
     p_opt.add_argument("--variant", default="corr", choices=["box", "corr"])
-    p_opt.add_argument("--M", type=int, default=5, help="matrix dimension (corr variant)")
-    p_opt.add_argument("--dim", type=int, default=10, help="vector dimension (box variant)")
+    p_opt.add_argument("--M", type=_at_least(2), default=5,
+                       help="matrix dimension (corr variant)")
+    p_opt.add_argument("--dim", type=_at_least(1), default=10,
+                       help="vector dimension (box variant)")
     common(p_opt)
 
     p_bench = sub.add_parser("benchmark", help="summary table over several functions")
     p_bench.add_argument("--fn", default="all",
                          help="comma-separated benchmark names, or 'all'")
     p_bench.add_argument("--variant", default="corr", choices=["box", "corr"])
-    p_bench.add_argument("--M", type=int, default=5)
-    p_bench.add_argument("--dim", type=int, default=10)
+    p_bench.add_argument("--M", type=_at_least(2), default=5)
+    p_bench.add_argument("--dim", type=_at_least(1), default=10)
     p_bench.add_argument("--baseline", default=None, choices=["random"],
                          help="also run a random-search baseline")
     common(p_bench)
@@ -155,9 +168,17 @@ def _problem_dim(variant: str, size: int) -> int:
     return size * (size - 1) // 2 if variant == "corr" else size
 
 
+def _resolved_record(config: OptimizerConfig, variant: str, size: int) -> dict:
+    """The configuration the searches ran with; no ``seed`` key, because each
+    search derives its seed from the master seed."""
+    record = asdict(config.resolved(_problem_dim(variant, size)))
+    del record["seed"]
+    return record
+
+
 def cmd_optimize(args) -> int:
     config = _optimizer_config(args)
-    master_seed = args.seed if args.seed is not None else _fresh_seed()
+    master_seed = _resolve_seed(args.seed, config)
     size = args.M if args.variant == "corr" else args.dim
     out = ensure_outdir(args.out, "result.json", args.force)
 
@@ -182,8 +203,7 @@ def cmd_optimize(args) -> int:
             for r in records
         ],
         "optimizer_config": asdict(config),
-        "optimizer_config_resolved": asdict(
-            config.resolved(_problem_dim(args.variant, size))),
+        "optimizer_config_resolved": _resolved_record(config, args.variant, size),
     }
     write_json(f"{out}/result.json", record)
     for k, rec in enumerate(records):
@@ -200,7 +220,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = _optimizer_config(args)
-    master_seed = args.seed if args.seed is not None else _fresh_seed()
+    master_seed = _resolve_seed(args.seed, config)
     size = args.M if args.variant == "corr" else args.dim
     names = sorted(BENCHMARKS) if args.fn == "all" else [t.strip() for t in args.fn.split(",")]
     for name in names:
@@ -222,8 +242,7 @@ def cmd_benchmark(args) -> int:
         detail.append({"benchmark": name, "solver": "glasd", "seed": fn_seed,
                        "values": [r.f_best for r in records]})
         if args.baseline == "random":
-            budget = (config.resolved(size * (size - 1) // 2 if args.variant == "corr"
-                                      else size).max_iters)
+            budget = config.resolved(_problem_dim(args.variant, size)).max_iters
             base_vals = []
             t0 = time.perf_counter()
             base_seeds = derive_seeds(fn_seed + 1, args.starts)
@@ -261,7 +280,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _optimizer_config(args)
-    master_seed = args.seed if args.seed is not None else _fresh_seed()
+    master_seed = _resolve_seed(args.seed, config)
     data = read_data_csv(args.data)
     out = ensure_outdir(args.out, "run.json", args.force)
 
@@ -288,8 +307,7 @@ def cmd_estimate(args) -> int:
         "f_best": fit.f_best,
         "runtime_s": elapsed,
         "optimizer_config": asdict(config),
-        "optimizer_config_resolved": asdict(
-            config.resolved(data.p * (data.p - 1) // 2)),
+        "optimizer_config_resolved": _resolved_record(config, "corr", data.p),
     })
     print(f"estimated {data.p} x {data.p} correlation ({args.loss}); "
           f"objective {fit.f_best:.4g}")

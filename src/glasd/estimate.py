@@ -15,7 +15,7 @@ import numpy as np
 
 from .losses import AngleObjective, LossSpec, pilot_correlation, resolved_spec
 from .manifold import angles_to_corr, corr_to_angles, default_angle_box
-from .optimizer import OptimizerConfig, RunRecord, _fresh_seed, multi_start_minimize
+from .optimizer import OptimizerConfig, RunRecord, _resolve_seed, multi_start_minimize
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,9 @@ def estimate_correlation(
     """Fit a correlation matrix to standardized data under the given loss.
 
     ``X_std`` must already be column-standardized.  ``n_starts`` restarts are
-    seeded from ``master_seed``; the first restart is warm-started from the
-    positive-definite-repaired sample correlation.  The reported threshold is
+    seeded from ``master_seed``, else from ``config.seed``, else from a fresh
+    seed; the first restart is warm-started from the positive-definite-repaired
+    sample correlation.  The reported threshold is
     the d^2-scale cutoff in force at the returned solution (for the
     per-evaluation 'iqr-auto' policy that is the cutoff under the fitted
     matrix; fixed and pilot-frozen thresholds report their constant).
@@ -53,9 +54,7 @@ def estimate_correlation(
     spec = resolved_spec(X_std, spec, pilot)
     warm = corr_to_angles(pilot)
 
-    if master_seed is None:
-        master_seed = _fresh_seed()
-
+    master_seed = _resolve_seed(master_seed, config)
     objective = AngleObjective(X_std, spec)
     records = multi_start_minimize(
         objective, default_angle_box(p), config=config, n_starts=n_starts,

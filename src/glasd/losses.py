@@ -32,8 +32,7 @@ one row of the factor, so a proposal costs O(pn): the row is rebuilt alone,
 and the whitened data ``L^{-1} X^T`` changes in that row plus a rank-one term
 in the rows below it.  A full evaluation (factor build plus an n p^2
 triangular solve) runs only at a new start or after a move in several
-angles.  :func:`loss_robust` and :func:`loss_robust_from_factor` are the
-reference evaluations.
+angles.  :func:`loss_robust` is the single reference evaluation.
 """
 
 from __future__ import annotations
@@ -146,21 +145,12 @@ def mahalanobis_sq_all(X, C) -> np.ndarray:
         raise DomainMismatchError(
             f"data has {V.shape[1]} columns but the matrix is {C.shape[0]} x {C.shape[0]}"
         )
-    Y = _whiten(V, _chol(C))
-    return np.einsum("ij,ij->j", Y, Y)
-
-
-def _logdet_from_chol(L: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    return _sq_dist(V, _chol(C))
 
 
 def loss_gaussian(X, C) -> float:
     """Gaussian fit objective (negative log-likelihood up to a constant)."""
-    V = _values(X)
-    L = _chol(np.asarray(C, dtype=float))
-    if V.shape[1] != L.shape[0]:
-        raise DomainMismatchError("data width does not match matrix dimension")
-    return _fit_loss_from_factor(V, L, "gaussian", None)
+    return loss_robust(X, C, LossSpec("gaussian"))
 
 
 def rho_huber(d2, delta: float):
@@ -251,15 +241,16 @@ def _whiten(V: np.ndarray, L: np.ndarray) -> np.ndarray:
     return solve_triangular(L, V.T, lower=True, check_finite=False)
 
 
-def _fit_loss_from_factor(V: np.ndarray, L: np.ndarray, kind: str, thr) -> float:
-    """Full evaluation given the lower Cholesky factor of the metric."""
+def _sq_dist(V: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of every row of V under the metric L L^T."""
     Y = _whiten(V, L)
-    return _loss_value(V.shape[0], _logdet_from_chol(L), np.einsum("ij,ij->j", Y, Y),
-                       kind, thr)
+    return np.einsum("ij,ij->j", Y, Y)
 
 
 def _loss_threshold(spec: LossSpec):
-    """Threshold to hand the objective core; pilot policies must be resolved."""
+    """Threshold for the objective core: None for gaussian; 'iqr-pilot' must be resolved."""
+    if spec.kind == "gaussian":
+        return None
     thr = spec.threshold
     if thr is None or thr == "iqr-pilot":
         raise ValueError(
@@ -275,35 +266,29 @@ def loss_robust(X, C, spec: LossSpec) -> float:
     A numeric threshold (d^2 scale; for tukey it is the plateau location
     tau^2) is used as given; 'iqr-auto' recomputes the cutoff from the
     distances under C itself.  'iqr-pilot' must be resolved to a number first
-    with :func:`resolve_threshold`.
+    with :func:`resolve_threshold`.  The gaussian kind ignores the threshold.
     """
-    if spec.kind == "gaussian":
-        return loss_gaussian(X, C)
-    thr = _loss_threshold(spec)
-    V = _values(X)
-    L = _chol(np.asarray(C, dtype=float))
-    if V.shape[1] != L.shape[0]:
-        raise DomainMismatchError("data width does not match matrix dimension")
-    return _fit_loss_from_factor(V, L, spec.kind, thr)
+    return _loss_robust_from_factor(X, _chol(C), spec)
 
 
-def loss_robust_from_factor(X, L: np.ndarray, spec: LossSpec) -> float:
+def _loss_robust_from_factor(X, L: np.ndarray, spec: LossSpec) -> float:
     """Same objective as loss_robust for C = L L^T, evaluated from the factor.
 
     ``L`` must be lower triangular with positive diagonal, as produced by the
     hyperspherical row construction; no factorization happens here.
     """
-    thr = None if spec.kind == "gaussian" else _loss_threshold(spec)
+    thr = _loss_threshold(spec)
     V = _values(X)
     if V.shape[1] != L.shape[0]:
         raise DomainMismatchError("data width does not match matrix dimension")
-    return _fit_loss_from_factor(V, L, spec.kind, thr)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return _loss_value(V.shape[0], logdet, _sq_dist(V, L), spec.kind, thr)
 
 
 class AngleObjective(OneAngleObjective):
     """The loss of ``spec`` on data X as a function of the angle vector.
 
-    ``f(angles)`` equals ``loss_robust_from_factor(X, cholesky_rows(angles),
+    ``f(angles)`` equals the reference ``loss_robust(X, angles_to_corr(angles),
     spec)`` up to rounding; ``spec`` must not hold an unresolved 'iqr-pilot'.
     The move rule (which cached point a proposal is one angle from, and when
     the full path runs) is :class:`~glasd.manifold.OneAngleObjective`'s.  For
@@ -335,7 +320,7 @@ class AngleObjective(OneAngleObjective):
         self._V = V
         self._XT = np.ascontiguousarray(V.T)
         self._kind = spec.kind
-        self._thr = None if spec.kind == "gaussian" else _loss_threshold(spec)
+        self._thr = _loss_threshold(spec)
         self._Y = np.empty((p, n))
         self._prefix = np.empty((p, n))   # prefix[i] = column sums of Y[:i+1]**2
         self._fresh = 0                   # prefix rows below this are current
@@ -349,8 +334,7 @@ class AngleObjective(OneAngleObjective):
         number, or for 'iqr-auto' the cutoff the objective computes there."""
         if self._thr != "iqr-auto":
             return None if self._thr is None else float(self._thr)
-        Y = _whiten(self._V, cholesky_rows(angles))
-        return _iqr_cutoff(np.sort(np.einsum("ij,ij->j", Y, Y)))
+        return _iqr_cutoff(np.sort(_sq_dist(self._V, cholesky_rows(angles))))
 
     def _rebase(self, L: np.ndarray) -> float:
         Y = _whiten(self._V, L)
@@ -414,13 +398,8 @@ def iqr_threshold(values, multiplier: float = 3.0) -> float:
 
 def sample_correlation(X) -> np.ndarray:
     """Classical sample correlation matrix; errors on zero-variance columns."""
-    V = _values(X)
-    sd = V.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        bad = int(np.flatnonzero(sd == 0.0)[0])
-        raise DegenerateDataError(f"column {bad} has zero variance")
-    Z = (V - V.mean(axis=0)) / sd
-    S = (Z.T @ Z) / (V.shape[0] - 1)
+    Z = standardize_columns(X)
+    S = (Z.T @ Z) / (Z.shape[0] - 1)
     S = (S + S.T) * 0.5
     np.fill_diagonal(S, 1.0)
     return np.clip(S, -1.0, 1.0)

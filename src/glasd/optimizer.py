@@ -121,40 +121,16 @@ class OptimizerConfig:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
-    def resolved(self, n: int) -> "ResolvedConfig":
+    def resolved(self, n: int) -> "OptimizerConfig":
+        """Copy with every dimension-dependent default filled in for dimension n."""
         logn = math.log(max(n, 2))
-        return ResolvedConfig(
-            s_init=self.s_init,
-            s_inc=self.s_inc, s_dec=self.s_dec,
-            p_inc=self.p_inc, p_dec=self.p_dec,
-            m=self.m,
+        return replace(
+            self,
             c=self.c if self.c is not None else 0.001 * logn,
-            r_policy=self.r_policy, r=self.r,
             max_iters=self.max_iters if self.max_iters is not None else round(3000 * logn),
             stagnation_window=(self.stagnation_window
                                if self.stagnation_window is not None else 4 * n),
-            epsilon=self.epsilon,
-            explore_enabled=self.explore_enabled,
         )
-
-
-@dataclass(frozen=True)
-class ResolvedConfig:
-    """OptimizerConfig with every dimension-dependent default filled in."""
-
-    s_init: float
-    s_inc: float
-    s_dec: float
-    p_inc: float
-    p_dec: float
-    m: int
-    c: float
-    r_policy: str
-    r: float | None
-    max_iters: int
-    stagnation_window: int
-    epsilon: float
-    explore_enabled: bool
 
 
 class OptimizerState:
@@ -221,15 +197,6 @@ def _half_gap_step(xi: float, lo: float, hi: float, sign: int, magnitude: float)
     return min(magnitude, (hi - xi) / 2.0) if sign > 0 else -min(magnitude, (xi - lo) / 2.0)
 
 
-def clip_step(x, domain: BoxDomain, i: int, sign: int, magnitude: float) -> np.ndarray:
-    """Single-coordinate displacement, clipped to half the gap to the facing bound."""
-    x = np.asarray(x, dtype=float)
-    delta = np.zeros(domain.dim)
-    delta[i] = _half_gap_step(float(x[i]), float(domain.lower[i]), float(domain.upper[i]),
-                              sign, magnitude)
-    return delta
-
-
 class _DirectionWeights:
     """Unnormalized positive weights of k directions in a binary sum tree.
 
@@ -294,6 +261,13 @@ def _fresh_seed() -> int:
     return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
 
 
+def _resolve_seed(seed: int | None, config: OptimizerConfig | None) -> int:
+    """The seed rule: an explicit ``seed``, else ``config.seed``, else a fresh one."""
+    if seed is None and config is not None:
+        seed = config.seed
+    return seed if seed is not None else _fresh_seed()
+
+
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Deterministic child seeds for independent runs under one master seed."""
     state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
@@ -333,10 +307,9 @@ def glasd_minimize(
         Best point and value, evaluation counts, termination reason, the seed
         actually used, and the per-iteration best-value trace.
     """
-    cfg_in = config if config is not None else OptimizerConfig()
     n = domain.dim
-    cfg = cfg_in.resolved(n)
-    seed = cfg_in.seed if cfg_in.seed is not None else _fresh_seed()
+    cfg = (config if config is not None else OptimizerConfig()).resolved(n)
+    seed = _resolve_seed(None, cfg)
     rng = np.random.default_rng(seed)
 
     if x0 is None:
@@ -467,15 +440,14 @@ def multi_start_minimize(
     f, domain, config=None, n_starts: int = 10,
     master_seed: int | None = None, x0_first=None,
 ) -> list[RunRecord]:
-    """Independent restarts with per-run seeds derived from one master seed.
+    """Independent restarts with per-run seeds derived from one master seed:
+    ``master_seed``, else ``config.seed``, else a fresh seed.
 
     The first run may be given an explicit start (warm start); all others
     start from a uniform draw under their own seed.
     """
     cfg = config if config is not None else OptimizerConfig()
-    if master_seed is None:
-        master_seed = cfg.seed if cfg.seed is not None else _fresh_seed()
-    seeds = derive_seeds(master_seed, n_starts)
+    seeds = derive_seeds(_resolve_seed(master_seed, config), n_starts)
     records = []
     for k, run_seed in enumerate(seeds):
         x0 = x0_first if (k == 0 and x0_first is not None) else None
@@ -489,8 +461,7 @@ def random_search_minimize(
     f, domain: BoxDomain, max_iters: int, seed: int | None = None,
 ) -> RunRecord:
     """Uniform random search baseline; same record format as the main solver."""
-    if seed is None:
-        seed = _fresh_seed()
+    seed = _resolve_seed(seed, None)
     rng = np.random.default_rng(seed)
     f_best = math.inf
     x_best = None

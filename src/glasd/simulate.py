@@ -179,7 +179,8 @@ def gen_structure(spec: StructureSpec, rng: np.random.Generator) -> np.ndarray:
             vals = rng.uniform(lo, hi, size=keep)
             C[iu[chosen], ju[chosen]] = vals
             C[ju[chosen], iu[chosen]] = vals
-        return _shrink_repair(C)
+        # identity shrinkage keeps the unit diagonal and the zero pattern
+        return shrink_to_pd(C)
 
     sizes = [_round_half_up(p * f) for f in spec.block_fractions[:-1]]
     sizes.append(p - sum(sizes))
@@ -192,11 +193,6 @@ def gen_structure(spec: StructureSpec, rng: np.random.Generator) -> np.ndarray:
         C[start:start + size, start:start + size] = decay ** np.abs(idx[:, None] - idx[None, :])
         start += size
     return C
-
-
-def _shrink_repair(C: np.ndarray, eig_floor: float = 1e-3) -> np.ndarray:
-    # identity shrinkage keeps the unit diagonal and the zero pattern
-    return shrink_to_pd(C, eig_floor)
 
 
 def sample_data(C: np.ndarray, n: int, distribution: str, rng: np.random.Generator,

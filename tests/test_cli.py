@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
 from conftest import assert_dirs_match
 from glasd.artifacts import read_matrix_csv
@@ -59,6 +61,45 @@ class TestOptimizeCommand:
 
     def test_bad_arguments_exit_2(self, tmp_path):
         assert main(["optimize", "--fn", "nope"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--fn", "ackley", "--starts", "0"],
+        ["benchmark", "--fn", "ackley", "--starts", "0"],
+        ["optimize", "--fn", "ackley", "--M", "1"],
+        ["benchmark", "--fn", "ackley", "--M", "1"],
+        ["optimize", "--fn", "ackley", "--variant", "box", "--dim", "0"],
+        ["benchmark", "--fn", "ackley", "--variant", "box", "--dim", "0"],
+        ["estimate", "DATA", "--starts", "0"],
+    ])
+    def test_bad_sizes_exit_2_before_output(self, tmp_path, argv):
+        data = tmp_path / "d.csv"
+        write_clean_csv(data, n=50)
+        out = tmp_path / "run"
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        assert main(argv + ["--seed", "1", "--max-iters", "20", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_resolved_config_record(self, tmp_path):
+        # M = 3 gives a 3-dimensional angle box
+        out = tmp_path / "run"
+        assert main(["optimize", "--fn", "ackley", "--M", "3", "--starts", "1",
+                     "--seed", "2", "--out", str(out)]) == 0
+        resolved = json.loads((out / "result.json").read_text())["optimizer_config_resolved"]
+        assert resolved == {
+            "s_init": 0.1, "s_inc": 2.0, "s_dec": 2.0, "p_inc": 2.0, "p_dec": 2.0,
+            "m": 5, "c": 0.001 * math.log(3), "r_policy": "dynamic-to-bound", "r": None,
+            "max_iters": 3296, "stagnation_window": 12, "epsilon": 1e-20,
+            "explore_enabled": True,
+        }
+
+    def test_fixed_radius_without_r_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "opt.ini"
+        ini.write_text("[optimizer]\nr_policy = fixed\n")
+        out = tmp_path / "run"
+        assert main(["optimize", "--fn", "ackley", "--M", "3", "--config", str(ini),
+                     "--seed", "5", "--out", str(out)]) == 2
+        assert "positive r" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -14,7 +14,7 @@ from glasd.losses import (
     standardize_columns,
 )
 from glasd.manifold import check_correlation
-from glasd.optimizer import OptimizerConfig
+from glasd.optimizer import OptimizerConfig, derive_seeds
 from glasd.simulate import StructureSpec, gen_structure, rmse, sample_data
 
 FAST = OptimizerConfig(max_iters=800)
@@ -36,6 +36,20 @@ class TestEstimateCorrelation:
         assert np.abs(fit.corr - S).max() < 0.05
         check_correlation(fit.corr)
         assert fit.threshold is None
+
+    def test_config_seed_is_the_master_seed(self):
+        # an explicit master seed wins over config.seed, which wins over a
+        # fresh seed, as in multi_start_minimize
+        _, Xs = make_clean_data(n=200)
+        cfg = OptimizerConfig(max_iters=50, seed=5)
+        fits = [estimate_correlation(Xs, LossSpec("gaussian"), config=cfg, n_starts=2)
+                for _ in range(2)]
+        assert [f.seed for f in fits] == [5, 5]
+        assert fits[0].start_seeds == fits[1].start_seeds == derive_seeds(5, 2)
+        assert np.array_equal(fits[0].corr, fits[1].corr)
+        fit = estimate_correlation(Xs, LossSpec("gaussian"), config=cfg, n_starts=2,
+                                   master_seed=6)
+        assert fit.seed == 6 and fit.start_seeds == derive_seeds(6, 2)
 
     def test_result_is_best_record(self):
         _, Xs = make_clean_data(n=400)

@@ -13,6 +13,7 @@ from glasd.errors import (
 )
 from glasd.losses import (
     LOSS_KINDS,
+    _loss_robust_from_factor,
     _loss_value,
     AngleObjective,
     DataMatrix,
@@ -20,7 +21,6 @@ from glasd.losses import (
     iqr_threshold,
     loss_gaussian,
     loss_robust,
-    loss_robust_from_factor,
     mahalanobis_sq_all,
     outlier_report,
     pilot_correlation,
@@ -237,7 +237,7 @@ class TestAngleObjective:
         f = AngleObjective(X, spec)
 
         def check(a):
-            ref = loss_robust_from_factor(X, cholesky_rows(a), spec)
+            ref = _loss_robust_from_factor(X, cholesky_rows(a), spec)
             assert f(a) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
         current = rng.uniform(box.lower, box.upper)

@@ -16,13 +16,12 @@ from glasd.optimizer import (
     OptimizerConfig,
     acceptance_prob,
     asd_minimize,
-    clip_step,
     derive_seeds,
     glasd_minimize,
     multi_start_minimize,
     random_search_minimize,
 )
-from glasd.optimizer import _DirectionWeights
+from glasd.optimizer import _DirectionWeights, _half_gap_step
 
 
 def sphere(x):
@@ -73,31 +72,23 @@ class TestAcceptanceProb:
             prev = q
 
 
-class TestClipStep:
-    DOM = BoxDomain([0.0], [1.0])
-
+class TestHalfGapStep:
     def test_small_step_passes(self):
-        delta = clip_step([0.5], self.DOM, 0, +1, 0.1)
-        assert delta[0] == pytest.approx(0.1, abs=0)
+        assert _half_gap_step(0.5, 0.0, 1.0, +1, 0.1) == 0.1
 
     def test_half_gap(self):
-        delta = clip_step([0.9], self.DOM, 0, +1, 0.3)
-        assert delta[0] == pytest.approx(0.05, abs=1e-15)
+        assert _half_gap_step(0.9, 0.0, 1.0, +1, 0.3) == pytest.approx(0.05, abs=1e-15)
 
     def test_zero_gap(self):
-        delta = clip_step([0.0], self.DOM, 0, -1, 0.3)
-        assert delta[0] == 0.0
+        assert _half_gap_step(0.0, 0.0, 1.0, -1, 0.3) == 0.0
 
     @given(
         x=st.floats(0.0, 1.0),
         sign=st.sampled_from([1, -1]),
         mag=st.floats(0.0, 10.0),
     )
-    def test_feasible_and_single_coordinate(self, x, sign, mag):
-        dom = BoxDomain([0.0, 0.0], [1.0, 1.0])
-        delta = clip_step([x, 0.5], dom, 0, sign, mag)
-        assert delta[1] == 0.0
-        assert dom.contains(np.array([x, 0.5]) + delta)
+    def test_feasible(self, x, sign, mag):
+        assert 0.0 <= x + _half_gap_step(x, 0.0, 1.0, sign, mag) <= 1.0
 
 
 class TestGlasd:
@@ -209,6 +200,33 @@ class TestGlasd:
         assert (pts >= dom.lower).all() and (pts <= dom.upper).all()
         # interior start stays strictly interior under the half-gap rule
         assert (pts > dom.lower).all() and (pts < dom.upper).all()
+
+    def test_fixed_radius_bounds_exploration_moves(self):
+        # a radius far below the box width: every exploration proposal moves
+        # one coordinate by at most r from the current point and stays in the box
+        r = 0.05
+        dom = BoxDomain(np.full(3, -10.0), np.full(3, 10.0))
+        evaluated = []
+        current = [np.array([9.9, 0.0, -9.9])]
+        moves = []
+
+        def f(x):
+            evaluated.append(x.copy())
+            return sphere(x - 3.0)
+
+        def cb(state, move):
+            if move.explore:
+                moves.append((current[0], evaluated[-1], move.coordinate))
+            current[0] = state.x.copy()
+
+        cfg = OptimizerConfig(seed=8, r_policy="fixed", r=r, max_iters=2000, epsilon=0.0)
+        glasd_minimize(f, dom, x0=current[0], config=cfg, callback=cb)
+        assert len(moves) > 300
+        for before, proposal, i in moves:
+            step = proposal - before
+            assert abs(step[i]) <= r
+            assert not np.delete(step, i).any()
+            assert dom.contains(proposal)
 
     def test_probability_vector_invariant(self):
         sums, mins = [], []
