@@ -50,6 +50,7 @@ from .optimizer import (
     BoxDomain,
     OptimizerConfig,
     RunRecord,
+    Search,
     acceptance_prob,
     asd_minimize,
     glasd_minimize,
@@ -80,7 +81,7 @@ __all__ = [
     "rho_tukey", "sample_correlation", "shrink_to_pd", "standardize_columns",
     "MatrixObjective", "angle_dim", "angles_to_corr", "cholesky_rows", "corr_to_angles",
     "default_angle_box", "factor_row", "minimize_over_corr",
-    "BoxDomain", "OptimizerConfig", "RunRecord", "acceptance_prob",
+    "BoxDomain", "OptimizerConfig", "RunRecord", "Search", "acceptance_prob",
     "asd_minimize", "glasd_minimize", "multi_start_minimize",
     "random_search_minimize",
     "ContaminationSpec", "ScenarioSpec", "StructureSpec", "contaminate",

@@ -1,14 +1,18 @@
 """Adaptive stochastic descent over compact boxes.
 
-Two modes of the same single-coordinate search loop:
+Two modes of the same single-coordinate search:
 
 * ``asd_minimize`` only ever accepts strictly improving steps and adapts a
   per-direction step size and selection probability after every greedy
   proposal.
 * ``glasd_minimize`` additionally forces, with probability ``1/m`` per
   iteration, a random exploration step whose non-improving moves are accepted
-  with a probability that decays like ``1/log(1 + t)``, which lets the search
-  leave local minima.
+  with probability ``min(1, m*c/log(1 + t))``, which lets the search leave
+  local minima.
+
+The loop state lives in :class:`Search`, an ask/tell object that never calls
+the objective itself; ``glasd_minimize`` drives one ``Search`` with one
+objective.  Each :class:`RunRecord` counts the run's moves.
 
 All proposals move a single coordinate and are clipped to half the distance
 to the facing bound, so every evaluated point is feasible by construction and
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ STEP_MIN = 1e-12          # lower clamp for step sizes after repeated decay
 PROB_FLOOR = 1e-12        # keeps every direction selectable forever
 TOTAL_MIN = 2.0 ** -32    # direction weights are renormalized when their
 TOTAL_MAX = 2.0 ** 32     # total leaves [TOTAL_MIN, TOTAL_MAX]
+START_REDRAWS = 10        # redraws of a box-drawn start whose value is nonfinite
 
 
 @dataclass(frozen=True)
@@ -133,46 +138,16 @@ class OptimizerConfig:
         )
 
 
-class OptimizerState:
-    """Live state handed to an iteration callback (read, do not mutate).
-
-    ``s`` (step sizes) and ``p`` (direction probabilities) are arrays built
-    from the live state when read, so read them during the callback.
-    ``best_buffer`` holds the best value after each iteration so far.
-    """
-
-    __slots__ = ("x", "t", "f_current", "f_best", "x_best", "best_buffer",
-                 "_steps", "_weights")
-
-    def __init__(self, x, t, f_current, f_best, x_best, best_buffer, steps, weights):
-        self.x, self.t = x, t
-        self.f_current, self.f_best, self.x_best = f_current, f_best, x_best
-        self.best_buffer = best_buffer
-        self._steps, self._weights = steps, weights
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.array(self._steps)
-
-    @property
-    def p(self) -> np.ndarray:
-        w = self._weights.weights()
-        return w / w.sum()
-
-
-class MoveInfo(NamedTuple):
-    explore: bool
-    accepted: bool
-    coordinate: int
-    direction: int | None   # index into the 2n direction set; None for explore moves
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Result of one optimization run.
 
     ``trace`` has one row per iteration (plus the initial point) with columns
     ``(iteration, evaluations, f_best)``; its last column is nonincreasing.
+    The counters are deterministic: ``explore`` exploration proposals (the
+    other ``iterations - explore`` were greedy), ``explore_accepts`` and
+    ``greedy_accepts`` accepted moves of each kind, and ``nonfinite`` values
+    (NaN or +-inf) returned by the objective, redrawn starts included.
     """
 
     x_best: np.ndarray
@@ -182,6 +157,10 @@ class RunRecord:
     termination: str          # "max-iterations" or "stagnation"
     seed: int
     trace: np.ndarray
+    explore: int = 0
+    explore_accepts: int = 0
+    greedy_accepts: int = 0
+    nonfinite: int = 0
 
 
 def acceptance_prob(t: float, m: int, c: float) -> float:
@@ -274,166 +253,183 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
+class Search:
+    """One GLASD run as an ask/tell loop: ``ask()`` returns the next point,
+    ``tell(value)`` reports the objective there and applies the accept, adapt
+    and stall rules, and ``record()`` returns the :class:`RunRecord` once
+    ``done``.  Tell each point before the next ask, and do not modify it.
+
+    The first ``ask()`` returns the start point, ``x0`` or a uniform draw
+    under the run seed.  A nonfinite value there raises
+    ObjectiveEvaluationError for ``x0``; a drawn start is redrawn from the
+    run's RNG, at most ``START_REDRAWS`` times.  Later points are proposals
+    one coordinate away from ``x``; a nonfinite value rejects a proposal.
+    ``x`` and ``f`` (None until the start is told), ``x_best``, ``f_best``,
+    ``t``, ``termination`` and the record's counters are public.
+    """
+
+    def __init__(self, domain: BoxDomain,
+                 x0: Sequence[float] | np.ndarray | None = None,
+                 config: OptimizerConfig | None = None):
+        n = domain.dim
+        self.config = cfg = (config if config is not None else OptimizerConfig()).resolved(n)
+        self.seed = _resolve_seed(None, cfg)
+        self._rng = np.random.default_rng(self.seed)
+        self._domain = domain
+        self._x0_given = x0 is not None
+        if x0 is None:
+            self.x = domain.sample(self._rng)
+        else:
+            self.x = np.asarray(x0, dtype=float).copy()
+            if self.x.shape != (n,):
+                raise DomainMismatchError(
+                    f"x0 has dimension {self.x.shape}, domain has dimension {n}")
+            if not domain.contains(self.x):
+                raise ValueError("x0 lies outside the domain")
+        self.f = self.f_best = self.x_best = self.termination = None
+        self.t, self.done = 0, False
+        self.explore = self.explore_accepts = self.greedy_accepts = self.nonfinite = 0
+        self._lower, self._upper = domain.lower.tolist(), domain.upper.tolist()
+        self._dir_width = [w for w in domain.widths.tolist() for _ in (0, 1)]   # direction j -> width
+        self._s = [min(cfg.s_init, w) for w in self._dir_width]
+        self._weights = _DirectionWeights(2 * n)
+        self._explore_prob = 1.0 / cfg.m
+        self._best = []              # best value after each iteration; row t of the trace
+        self._last_accepted = self._redraws = 0
+        self._proposal = None        # (point, direction j, or None for an exploration move)
+
+    def ask(self) -> np.ndarray:
+        """The next point to evaluate: the start point until it is told, then
+        a proposal one coordinate away from ``x``."""
+        if self.done:
+            raise RuntimeError("the search is done")
+        if self.f is None:
+            return self.x
+        rng, cfg, x = self._rng, self.config, self.x
+        if cfg.explore_enabled and rng.random() < self._explore_prob:
+            j, i = None, int(rng.integers(x.size))
+            sign = 1 if rng.random() < 0.5 else -1
+        else:   # greedy mode: direction by adaptive weights, fixed magnitude s_j
+            j = self._weights.draw(rng.random())
+            i, sign = j >> 1, 1 - 2 * (j & 1)
+        xi, lo, hi = x.item(i), self._lower[i], self._upper[i]
+        if j is not None:
+            mag = self._s[j]
+        elif cfg.r_policy == "dynamic-to-bound":
+            mag = rng.uniform(0.0, (hi - xi) if sign > 0 else (xi - lo))
+        else:
+            mag = rng.uniform(0.0, cfg.r)
+        x_new = x.copy()
+        x_new[i] = min(max(xi + _half_gap_step(xi, lo, hi, sign, mag), lo), hi)
+        self._proposal = (x_new, j)
+        return x_new
+
+    def tell(self, value: float) -> None:
+        """Report the objective value at the point the last ``ask()`` returned."""
+        finite = math.isfinite(value)
+        if not finite:
+            self.nonfinite += 1
+        if self.f is None:                       # the start point
+            if finite:
+                self.f = self.f_best = value
+                self.x_best = self.x.copy()
+                self._best.append(value)
+            elif self._x0_given or self._redraws == START_REDRAWS:
+                raise ObjectiveEvaluationError(
+                    f"objective is {value} at the start point {self.x!r}", point=self.x)
+            else:
+                self._redraws += 1
+                self.x = self._domain.sample(self._rng)
+            return
+        if self._proposal is None:
+            raise RuntimeError("tell() needs a point from ask()")
+        x_new, j = self._proposal
+        self._proposal = None
+        t = self.t = self.t + 1
+        cfg = self.config
+        if j is None:
+            self.explore += 1
+        # a nonfinite value is a rejected proposal in either mode
+        if finite and value < self.f:
+            self.x, self.f, self._last_accepted = x_new, value, t
+            if j is None:
+                self.explore_accepts += 1
+            else:
+                self.greedy_accepts += 1
+                self._s[j] = min(self._s[j] * cfg.s_inc, self._dir_width[j])
+                self._weights.put(j, self._weights.weight(j) * cfg.p_inc)
+        elif j is None:
+            if finite and self._rng.random() < acceptance_prob(t, cfg.m, cfg.c):
+                self.x, self.f, self._last_accepted = x_new, value, t
+                self.explore_accepts += 1
+        else:
+            self._s[j] = max(self._s[j] / cfg.s_dec, STEP_MIN)
+            self._weights.put(j, self._weights.weight(j) / cfg.p_dec)
+
+        if finite and value < self.f_best:
+            self.f_best = value
+            self.x_best = x_new.copy()
+        best = self._best
+        best.append(self.f_best)
+
+        # Stall rule: the run is stuck once a full window passes with neither
+        # an accepted proposal nor a best-value gain of at least epsilon.
+        # epsilon = 0 therefore disables early stopping entirely.
+        window = cfg.stagnation_window
+        if t - self._last_accepted >= window and best[t - window] - best[t] < cfg.epsilon:
+            self.done, self.termination = True, "stagnation"
+        elif t == cfg.max_iters:
+            self.done, self.termination = True, "max-iterations"
+
+    def record(self) -> RunRecord:
+        """The run so far as a :class:`RunRecord` (call once the start is told)."""
+        # one evaluation per start draw and per iteration: row t is
+        # (t, t + 1 + redraws, best[t])
+        trace = np.empty((self.t + 1, 3))
+        trace[:, 0] = np.arange(self.t + 1)
+        trace[:, 1] = trace[:, 0] + (1 + self._redraws)
+        trace[:, 2] = self._best
+        return RunRecord(
+            x_best=self.x_best, f_best=self.f_best, evaluations=self.t + 1 + self._redraws,
+            iterations=self.t, termination=self.termination, seed=self.seed, trace=trace,
+            explore=self.explore, explore_accepts=self.explore_accepts,
+            greedy_accepts=self.greedy_accepts, nonfinite=self.nonfinite,
+        )
+
+
 def glasd_minimize(
     f: Callable[[np.ndarray], float],
     domain: BoxDomain,
     x0: Sequence[float] | np.ndarray | None = None,
     config: OptimizerConfig | None = None,
-    callback: Callable[[OptimizerState, MoveInfo], None] | None = None,
 ) -> RunRecord:
     """Minimize ``f`` over ``domain`` by globally-explorative adaptive descent.
 
-    Parameters
-    ----------
-    f : callable
-        Objective mapping a feasible point to a float.  It is called exactly
-        once per iteration, plus once for the initial point.  A nonfinite
-        value (NaN or +-inf) at a proposal rejects that proposal; at the start
-        point it raises ObjectiveEvaluationError.
-    domain : BoxDomain
-        Compact search box.
-    x0 : array-like, optional
-        Feasible start.  When omitted it is drawn uniformly from the box
-        using the run seed.
-    config : OptimizerConfig, optional
-        Tuning parameters; dimension-dependent defaults are resolved here.
-    callback : callable, optional
-        Called after every iteration with ``(OptimizerState, MoveInfo)``.
-        Intended for instrumentation; it adds per-iteration overhead.
-
-    Returns
-    -------
-    RunRecord
-        Best point and value, evaluation counts, termination reason, the seed
-        actually used, and the per-iteration best-value trace.
+    Drives one :class:`Search` with ``f``, which maps a feasible point to a
+    float and is called once per start point and once per iteration; an
+    exception in ``f`` is raised as ObjectiveEvaluationError carrying the
+    point.  ``x0`` is a feasible start, drawn from the box under the run
+    seed when omitted.  ``config``'s dimension-dependent defaults are
+    resolved for ``domain``.  Returns the run's :class:`RunRecord`.
     """
-    n = domain.dim
-    cfg = (config if config is not None else OptimizerConfig()).resolved(n)
-    seed = _resolve_seed(None, cfg)
-    rng = np.random.default_rng(seed)
-
-    if x0 is None:
-        x = domain.sample(rng)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != (n,):
-            raise DomainMismatchError(
-                f"x0 has dimension {x.shape}, domain has dimension {n}"
-            )
-        if not domain.contains(x):
-            raise ValueError("x0 lies outside the domain")
-
-    def feval(point: np.ndarray) -> float:
+    search = Search(domain, x0, config)
+    ask, tell = search.ask, search.tell
+    while not search.done:
+        x = ask()
         try:
-            return float(f(point))
+            value = float(f(x))
         except Exception as exc:
             raise ObjectiveEvaluationError(
-                f"objective evaluation failed at {point!r}", point=point
+                f"objective evaluation failed at {x!r}", point=x
             ) from exc
-
-    lower, upper = domain.lower.tolist(), domain.upper.tolist()
-    dir_width = [w for w in domain.widths.tolist() for _ in (0, 1)]   # direction j -> width
-    s = [min(cfg.s_init, w) for w in dir_width]
-    weights = _DirectionWeights(2 * n)
-
-    f_curr = feval(x)
-    if not math.isfinite(f_curr):
-        raise ObjectiveEvaluationError(
-            f"objective is {f_curr} at the start point {x!r}", point=x)
-    f_best = f_curr
-    x_best = x.copy()
-    best = [f_best]                 # best value after each iteration; row t of the trace
-    explore_prob = 1.0 / cfg.m
-    termination = "max-iterations"
-    last_accepted = 0
-
-    for t in range(1, cfg.max_iters + 1):
-        explore = cfg.explore_enabled and rng.random() < explore_prob
-        if not explore:
-            # greedy mode: direction by adaptive weights, fixed magnitude s_j
-            j = weights.draw(rng.random())
-            i = j >> 1
-            sign = 1 if (j & 1) == 0 else -1
-        else:
-            j = None
-            i = int(rng.integers(n))
-            sign = 1 if rng.random() < 0.5 else -1
-        xi = x.item(i)
-        if not explore:
-            mag = s[j]
-        elif cfg.r_policy == "dynamic-to-bound":
-            mag = rng.uniform(0.0, (upper[i] - xi) if sign > 0 else (xi - lower[i]))
-        else:
-            mag = rng.uniform(0.0, cfg.r)
-        x_new = x.copy()
-        x_new[i] = min(max(xi + _half_gap_step(xi, lower[i], upper[i], sign, mag),
-                           lower[i]), upper[i])
-
-        f_new = feval(x_new)
-
-        # a nonfinite value is a rejected proposal in either mode
-        finite = math.isfinite(f_new)
-        accepted = False
-        if finite and f_new < f_curr:
-            x, f_curr = x_new, f_new
-            accepted = True
-            if not explore:
-                s[j] = min(s[j] * cfg.s_inc, dir_width[j])
-                weights.put(j, weights.weight(j) * cfg.p_inc)
-        elif explore:
-            if finite and rng.random() < acceptance_prob(t, cfg.m, cfg.c):
-                x, f_curr = x_new, f_new
-                accepted = True
-        else:
-            s[j] = max(s[j] / cfg.s_dec, STEP_MIN)
-            weights.put(j, weights.weight(j) / cfg.p_dec)
-
-        if finite and f_new < f_best:
-            f_best = f_new
-            x_best = x_new.copy()
-        if accepted:
-            last_accepted = t
-        best.append(f_best)
-
-        if callback is not None:
-            callback(
-                OptimizerState(x, t, f_curr, f_best, x_best, best, s, weights),
-                MoveInfo(explore=explore, accepted=accepted, coordinate=i, direction=j),
-            )
-
-        # Stall rule: the run is stuck once a full window passes with neither
-        # an accepted proposal nor a best-value gain of at least epsilon.
-        # epsilon = 0 therefore disables early stopping entirely.
-        if (
-            t - last_accepted >= cfg.stagnation_window
-            and best[t - cfg.stagnation_window] - best[t] < cfg.epsilon
-        ):
-            termination = "stagnation"
-            break
-
-    # one evaluation per iteration plus the start: row t is (t, t + 1, best[t])
-    iterations = len(best) - 1
-    trace = np.empty((iterations + 1, 3))
-    trace[:, 0] = np.arange(iterations + 1)
-    trace[:, 1] = trace[:, 0] + 1
-    trace[:, 2] = best
-    return RunRecord(
-        x_best=x_best,
-        f_best=f_best,
-        evaluations=iterations + 1,
-        iterations=iterations,
-        termination=termination,
-        seed=seed,
-        trace=trace,
-    )
+        tell(value)
+    return search.record()
 
 
-def asd_minimize(f, domain, x0=None, config=None, callback=None) -> RunRecord:
+def asd_minimize(f, domain, x0=None, config=None) -> RunRecord:
     """Exploration-free variant: every iteration is a greedy adaptive step."""
     cfg = config if config is not None else OptimizerConfig()
-    return glasd_minimize(f, domain, x0=x0,
-                          config=replace(cfg, explore_enabled=False),
-                          callback=callback)
+    return glasd_minimize(f, domain, x0=x0, config=replace(cfg, explore_enabled=False))
 
 
 def multi_start_minimize(

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from glasd.errors import DomainMismatchError, ObjectiveEvaluationError
 from glasd.optimizer import (
     PROB_FLOOR,
+    START_REDRAWS,
     STEP_MIN,
     TOTAL_MAX,
     TOTAL_MIN,
     BoxDomain,
     OptimizerConfig,
+    Search,
     acceptance_prob,
     asd_minimize,
     derive_seeds,
@@ -26,6 +28,19 @@ from glasd.optimizer import _DirectionWeights, _half_gap_step
 
 def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
+
+
+def probabilities(search):
+    """Direction selection probabilities of a search's live weights."""
+    w = search._weights.weights()
+    return w / w.sum()
+
+
+def started(domain, f, x0=None, config=None):
+    """A Search whose start point has been evaluated with f."""
+    search = Search(domain, x0, config)
+    search.tell(f(search.ask()))
+    return search
 
 
 class TestBoxDomain:
@@ -140,26 +155,27 @@ class TestGlasd:
         dom = BoxDomain(np.full(3, -5.0), np.full(3, 5.0))
         seen = {True: 0, False: 0}
         for seed in range(20):
-            last = []
-            prev = {"s": np.full(6, 0.1), "p": np.full(6, 1.0 / 6)}   # initial state
-
-            def wrapped(x):
-                last.append(math.isfinite(f(x)))
-                return f(x)
-
-            def cb(state, move):
-                if not last[-1]:
-                    seen[move.explore] += 1
-                    assert not move.accepted
-                    if not move.explore:
-                        j = move.direction
-                        assert state.s[j] < prev["s"][j] or state.s[j] == prev["s"][j] == STEP_MIN
-                        assert state.p[j] < prev["p"][j]
-                assert math.isfinite(state.f_current)
-                prev["s"], prev["p"] = state.s.copy(), state.p.copy()
-
-            rec = glasd_minimize(wrapped, dom, x0=[1.0, 1.9, -3.9],
-                                 config=OptimizerConfig(seed=seed), callback=cb)
+            search = started(dom, f, x0=[1.0, 1.9, -3.9], config=OptimizerConfig(seed=seed))
+            told = 0
+            while not search.done:
+                x_before, f_before, explore_before = search.x, search.f, search.explore
+                s_before, p_before = list(search._s), probabilities(search)
+                x = search.ask()
+                value = f(x)
+                search.tell(value)
+                if not math.isfinite(value):
+                    told += 1
+                    explore = search.explore > explore_before
+                    seen[explore] += 1
+                    assert search.x is x_before and search.f == f_before
+                    if not explore:
+                        (i,) = (x != x_before).nonzero()[0]
+                        j = 2 * i + int(x[i] < x_before[i])   # +e_i is 2i, -e_i is 2i + 1
+                        assert search._s[j] < s_before[j] or search._s[j] == s_before[j] == STEP_MIN
+                        assert probabilities(search)[j] < p_before[j]
+                assert math.isfinite(search.f)
+            rec = search.record()
+            assert rec.nonfinite == told
             assert math.isfinite(rec.f_best) and np.isfinite(rec.trace[:, 2]).all()
             assert rec.f_best == f(rec.x_best)
         assert seen[True] > 0 and seen[False] > 0
@@ -206,38 +222,33 @@ class TestGlasd:
         # one coordinate by at most r from the current point and stays in the box
         r = 0.05
         dom = BoxDomain(np.full(3, -10.0), np.full(3, 10.0))
-        evaluated = []
-        current = [np.array([9.9, 0.0, -9.9])]
-        moves = []
-
-        def f(x):
-            evaluated.append(x.copy())
-            return sphere(x - 3.0)
-
-        def cb(state, move):
-            if move.explore:
-                moves.append((current[0], evaluated[-1], move.coordinate))
-            current[0] = state.x.copy()
-
         cfg = OptimizerConfig(seed=8, r_policy="fixed", r=r, max_iters=2000, epsilon=0.0)
-        glasd_minimize(f, dom, x0=current[0], config=cfg, callback=cb)
+        search = started(dom, lambda x: sphere(x - 3.0), x0=[9.9, 0.0, -9.9], config=cfg)
+        moves = []
+        while not search.done:
+            before, explore_before = search.x, search.explore
+            proposal = search.ask()
+            search.tell(sphere(proposal - 3.0))
+            if search.explore > explore_before:
+                moves.append((before, proposal))
         assert len(moves) > 300
-        for before, proposal, i in moves:
+        for before, proposal in moves:
             step = proposal - before
-            assert abs(step[i]) <= r
-            assert not np.delete(step, i).any()
+            assert np.count_nonzero(step) <= 1
+            assert np.abs(step).max() <= r
             assert dom.contains(proposal)
 
     def test_probability_vector_invariant(self):
         sums, mins = [], []
-
-        def cb(state, move):
-            if not move.explore:
-                sums.append(state.p.sum())
-                mins.append(state.p.min())
-
         dom = BoxDomain(np.full(4, -3.0), np.full(4, 3.0))
-        glasd_minimize(sphere, dom, config=OptimizerConfig(seed=13), callback=cb)
+        search = started(dom, sphere, config=OptimizerConfig(seed=13))
+        while not search.done:
+            explore_before = search.explore
+            search.tell(sphere(search.ask()))
+            if search.explore == explore_before:
+                p = probabilities(search)
+                sums.append(p.sum())
+                mins.append(p.min())
         assert max(abs(s - 1.0) for s in sums) < 1e-12
         assert min(mins) > 0.0
 
@@ -246,13 +257,15 @@ class TestGlasd:
         # almost every step; an unrenormalized total would overflow after
         # about a thousand accepts
         values = itertools.count()
+        f = lambda x: -float(next(values))
+        cfg = OptimizerConfig(seed=3, max_iters=5000, epsilon=0.0, explore_enabled=False)
+        search = started(BoxDomain([0.0], [1.0]), f, x0=[0.5], config=cfg)
         probs = []
-        cb = lambda state, move: probs.append(state.p)
-        rec = asd_minimize(lambda x: -float(next(values)), BoxDomain([0.0], [1.0]),
-                           x0=[0.5], config=OptimizerConfig(seed=3, max_iters=5000,
-                                                            epsilon=0.0),
-                           callback=cb)
-        assert rec.iterations == 5000
+        while not search.done:
+            search.tell(f(search.ask()))
+            probs.append(probabilities(search))
+        rec = search.record()
+        assert rec.iterations == rec.greedy_accepts == 5000
         p = np.array(probs)
         assert np.isfinite(p).all() and (p > 0).all()
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
@@ -260,20 +273,14 @@ class TestGlasd:
     def test_exploration_frequency(self):
         # long run on a never-stagnating objective; fraction of explore moves
         # within 3 standard errors of 1/m
-        counts = {"explore": 0, "total": 0}
-
-        def cb(state, move):
-            counts["total"] += 1
-            counts["explore"] += move.explore
-
         dom = BoxDomain([-1.0], [1.0])
         rng = np.random.default_rng(1)
         noise = lambda x: float(rng.standard_normal())
         cfg = OptimizerConfig(seed=2, m=5, max_iters=120_000, epsilon=0.0)
-        glasd_minimize(noise, dom, config=cfg, callback=cb)
-        n = counts["total"]
+        rec = glasd_minimize(noise, dom, config=cfg)
+        n = rec.iterations
         assert n >= 100_000
-        frac = counts["explore"] / n
+        frac = rec.explore / n
         se = math.sqrt(0.2 * 0.8 / n)
         assert abs(frac - 0.2) <= 3 * se
 
@@ -282,6 +289,90 @@ class TestGlasd:
         a = glasd_minimize(sphere, dom, config=OptimizerConfig(seed=5, max_iters=5))
         b = glasd_minimize(sphere, dom, config=OptimizerConfig(seed=5, max_iters=5))
         assert np.array_equal(a.trace, b.trace)
+
+
+# told values: any float, plus frequent repeats (ties) and nonfinite values
+TOLD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]))
+
+
+class TestSearch:
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), start=st.floats(-5.0, 5.0),
+           values=st.lists(TOLD, min_size=1, max_size=150), explore_enabled=st.booleans(),
+           fixed_r=st.booleans(), window=st.integers(1, 20), m=st.sampled_from([1, 5]),
+           c=st.sampled_from([None, 10.0]))
+    def test_invariants_under_arbitrary_values(self, n, seed, start, values, explore_enabled,
+                                               fixed_r, window, m, c):
+        # m = 1 explores at every iteration; c = 10 accepts every finite
+        # non-improving exploration move for the first e^(10m) iterations
+        dom = BoxDomain(np.full(n, -1.0), np.full(n, 2.0))
+        cfg = OptimizerConfig(seed=seed, explore_enabled=explore_enabled, m=m, c=c,
+                              r_policy="fixed" if fixed_r else "dynamic-to-bound",
+                              r=0.3 if fixed_r else None, stagnation_window=window,
+                              max_iters=len(values))
+        search = Search(dom, config=cfg)
+        search.tell(start)
+        nonfinite, lowest = 0, start
+        for value in values:
+            if search.done:
+                break
+            x_before = search.x
+            x = search.ask()
+            assert dom.contains(x)
+            assert np.count_nonzero(x != x_before) <= 1
+            search.tell(value)
+            if math.isfinite(value):
+                lowest = min(lowest, value)
+            else:
+                nonfinite += 1
+            assert math.isfinite(search.f)
+            assert search.f_best == lowest <= search.f
+        assert search.done
+        rec = search.record()
+        assert rec.iterations == search.t <= len(values)
+        assert (np.diff(rec.trace[:, 2]) <= 0).all()
+        assert rec.explore_accepts <= rec.explore
+        assert rec.greedy_accepts <= rec.iterations - rec.explore
+        assert explore_enabled or rec.explore == 0
+        assert rec.nonfinite == nonfinite
+        assert rec.termination in ("max-iterations", "stagnation")
+
+    def test_nonfinite_drawn_start_is_redrawn(self):
+        # the first three values are NaN: the start is drawn four times, and
+        # every draw is an evaluation
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return math.nan if len(calls) <= 3 else sphere(x)
+
+        dom = BoxDomain(np.full(2, -1.0), np.full(2, 1.0))
+        rec = glasd_minimize(f, dom, config=OptimizerConfig(seed=5, max_iters=30))
+        assert len({tuple(x) for x in calls[:4]}) == 4
+        assert all(dom.contains(x) for x in calls[:4])
+        assert rec.trace[0, 2] == sphere(calls[3])
+        assert rec.nonfinite == 3
+        assert rec.evaluations == len(calls) == rec.iterations + 4
+        assert np.array_equal(rec.trace[:, 1], np.arange(4, rec.iterations + 5))
+
+    def test_redraws_are_bounded(self):
+        calls = []
+        with pytest.raises(ObjectiveEvaluationError) as err:
+            glasd_minimize(lambda x: (calls.append(1), math.inf)[1], BoxDomain([0.0], [1.0]),
+                           config=OptimizerConfig(seed=0))
+        assert len(calls) == START_REDRAWS + 1
+        assert err.value.point is not None
+
+    def test_misuse_raises(self):
+        search = started(BoxDomain([0.0], [1.0]), sphere, x0=[0.5],
+                         config=OptimizerConfig(seed=0, max_iters=1))
+        with pytest.raises(RuntimeError):
+            search.tell(1.0)                 # no point asked
+        search.tell(sphere(search.ask()))
+        assert search.done
+        with pytest.raises(RuntimeError):
+            search.ask()
 
 
 # one weight update: (direction pick, log2 of the factor the weight is scaled by)
@@ -344,16 +435,23 @@ class TestAsd:
         assert rec.iterations == 4 * n  # window of consecutive rejections
 
     def test_strictly_decreasing_accepted_values(self):
-        accepted = []
-
-        def cb(state, move):
-            if move.accepted:
-                accepted.append(state.f_current)
-
         dom = BoxDomain(np.full(5, -4.0), np.full(5, 4.0))
-        asd_minimize(sphere, dom, config=OptimizerConfig(seed=21), callback=cb)
-        vals = np.array(accepted)
-        assert (np.diff(vals) < 0).all()
+        cfg = OptimizerConfig(seed=21, explore_enabled=False)
+        search = started(dom, sphere, config=cfg)
+        accepted = []
+        while not search.done:
+            accepts_before = search.greedy_accepts
+            search.tell(sphere(search.ask()))
+            if search.greedy_accepts > accepts_before:
+                accepted.append(search.f)
+        rec = search.record()
+        assert rec.explore == rec.explore_accepts == 0
+        assert rec.greedy_accepts == len(accepted) > 0
+        assert (np.diff(np.array(accepted)) < 0).all()
+        assert rec.f_best == accepted[-1]
+        # the ask/tell loop is the run asd_minimize makes
+        assert np.array_equal(asd_minimize(sphere, dom, config=OptimizerConfig(seed=21)).trace,
+                              rec.trace)
 
     def test_geometric_decay_on_quadratic(self):
         # eigenvalues of the diagonal metric span [1, 10]; f* = 0 exactly
