@@ -39,7 +39,6 @@ from .optimizer import BoxDomain, OptimizerConfig, RunRecord, multi_start_minimi
 
 ANGLE_MARGIN = 1e-6        # closed-box margin keeping rows numerically full rank
 DEGENERATE_NORM = 1e-12    # below this prefix norm remaining angles are unidentified
-SINGULAR_PENALTY = 1e300   # stands in for a loss value at numerically singular points
 
 
 def angle_dim(M: int) -> int:
@@ -308,9 +307,10 @@ class MatrixObjective(OneAngleObjective):
     """A black-box loss on M x M correlation matrices as a function of the angles.
 
     ``f(angles)`` is ``loss(C)`` for the correlation matrix of ``angles``;
-    a loss that raises :class:`NotPositiveDefiniteError` scores
-    ``SINGULAR_PENALTY``.  For the base point it caches L and C.  A one-angle
-    move in factor row r changes only row r of L, hence only row and column
+    a loss that raises :class:`NotPositiveDefiniteError` scores NaN, which
+    the search treats as a rejected point.  For the base point it caches L
+    and C.  A one-angle move in factor row r changes only row r of L, hence
+    only row and column
     r of C = L L^T, so it costs O(M^2): the row is rebuilt alone
     (:func:`factor_row`), ``c = L[:, :r+1] @ row`` is its new column of C,
     with ``c[r] = 1`` and every entry clipped to [-1, 1], and ``c`` is written
@@ -349,7 +349,7 @@ class MatrixObjective(OneAngleObjective):
         try:
             return self._loss(C)
         except NotPositiveDefiniteError:
-            return SINGULAR_PENALTY
+            return math.nan
 
 
 def minimize_over_corr(
@@ -373,8 +373,13 @@ def minimize_over_corr(
     O(M^2), and the loss receives a fresh, exactly symmetric matrix with a
     unit diagonal.  Near the extreme corners of the angle box that matrix can
     be numerically rank deficient even though it is full rank in exact
-    arithmetic; a loss that rejects it with a not-positive-definite error
-    scores ``SINGULAR_PENALTY``, so the proposal is simply rejected.
+    arithmetic.  A loss may reject such a matrix, or any other, with
+    :class:`NotPositiveDefiniteError`; the point then scores NaN, and the
+    search handles it as any nonfinite value (:class:`Search`).  A proposal
+    there is rejected, so no run moves into the region, not even by an
+    exploration move.  A start drawn there is redrawn from the run's RNG up
+    to ``START_REDRAWS`` times, and each draw counts as an evaluation.  A
+    warm start there raises ObjectiveEvaluationError.
     """
     records = multi_start_minimize(
         MatrixObjective(loss, M),
