@@ -246,21 +246,22 @@ def load_scenario_config(path) -> ScenarioSpec:
 
 
 def make_loss_spec(kind: str, threshold: str) -> LossSpec:
-    """LossSpec from CLI-style strings: threshold is 'iqr', 'iqr-pilot', or a number."""
-    try:
-        if kind == "gaussian":
-            return LossSpec("gaussian")
-        if threshold in ("iqr", "iqr-auto"):
-            return LossSpec(kind, "iqr-auto")
-        if threshold == "iqr-pilot":
-            return LossSpec(kind, "iqr-pilot")
+    """LossSpec from CLI-style strings: threshold is 'iqr', 'iqr-pilot', or a number.
+
+    The threshold is checked for every kind; the gaussian spec then drops it.
+    """
+    if threshold in ("iqr", "iqr-auto"):
+        threshold = "iqr-auto"
+    elif threshold != "iqr-pilot":
         try:
-            value = float(threshold)
+            threshold = float(threshold)
         except ValueError:
             raise ConfigError(f"bad threshold {threshold!r}") from None
-        return LossSpec(kind, value)
+    try:
+        spec = LossSpec(kind, threshold)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return LossSpec("gaussian") if kind == "gaussian" else spec
 
 
 def scenario_record(spec: ScenarioSpec) -> dict:

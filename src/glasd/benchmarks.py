@@ -89,6 +89,9 @@ class BenchmarkSpec:
                 raise ValueError("matrix dimension must be >= 2")
         elif self.dim < 1:
             raise ValueError("box dimension must be >= 1")
+        elif self.name == "rosenbrock" and self.dim < 2:
+            # the box form sums over adjacent pairs, so at dimension 1 it is 0 everywhere
+            raise ValueError("rosenbrock box dimension must be >= 2")
 
 
 @lru_cache(maxsize=64)

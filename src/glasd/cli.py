@@ -144,20 +144,26 @@ def _se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _run_benchmark(name, variant, size, config, n_starts, master_seed):
+def _benchmark_spec(name: str, variant: str, size: int) -> BenchmarkSpec:
+    """The benchmark instance; a name or size it cannot take is a ConfigError."""
+    try:
+        return BenchmarkSpec(name, "corr-manifold" if variant == "corr" else "box", dim=size)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _run_benchmark(spec, config, n_starts, master_seed):
     """One multi-start benchmark run; returns (records, best_matrix_or_None, secs)."""
     t0 = time.perf_counter()
-    if variant == "corr":
-        spec = BenchmarkSpec(name, "corr-manifold", dim=size)
+    if spec.variant == "corr-manifold":
         best_C, records = minimize_over_corr(
-            corr_objective(spec), size, config=config,
+            corr_objective(spec), spec.dim, config=config,
             n_starts=n_starts, master_seed=master_seed,
         )
     else:
-        spec = BenchmarkSpec(name, "box", dim=size)
-        func = BENCHMARKS[name][0]
+        func = BENCHMARKS[spec.name][0]
         records = multi_start_minimize(
-            func, benchmark_box_domain(name, size), config=config,
+            func, benchmark_box_domain(spec.name, spec.dim), config=config,
             n_starts=n_starts, master_seed=master_seed,
         )
         best_C = None
@@ -180,11 +186,10 @@ def cmd_optimize(args) -> int:
     config = _optimizer_config(args)
     master_seed = _resolve_seed(args.seed, config)
     size = args.M if args.variant == "corr" else args.dim
+    spec = _benchmark_spec(args.fn, args.variant, size)
     out = ensure_outdir(args.out, "result.json", args.force)
 
-    records, best_C, elapsed = _run_benchmark(
-        args.fn, args.variant, size, config, args.starts, master_seed
-    )
+    records, best_C, elapsed = _run_benchmark(spec, config, args.starts, master_seed)
     f_bests = np.array([r.f_best for r in records])
     record = {
         "command": "optimize",
@@ -223,19 +228,15 @@ def cmd_benchmark(args) -> int:
     master_seed = _resolve_seed(args.seed, config)
     size = args.M if args.variant == "corr" else args.dim
     names = sorted(BENCHMARKS) if args.fn == "all" else [t.strip() for t in args.fn.split(",")]
-    for name in names:
-        if name not in BENCHMARKS:
-            raise ConfigError(f"unknown benchmark {name!r}")
+    specs = [_benchmark_spec(name, args.variant, size) for name in names]
     out = ensure_outdir(args.out, "benchmark.json", args.force)
 
     rows = []
     detail = []
     fn_seeds = derive_seeds(master_seed, len(names))
-    for k, name in enumerate(names):
+    for k, (name, spec) in enumerate(zip(names, specs)):
         fn_seed = fn_seeds[k]
-        records, _, elapsed = _run_benchmark(
-            name, args.variant, size, config, args.starts, fn_seed
-        )
+        records, _, elapsed = _run_benchmark(spec, config, args.starts, fn_seed)
         f_bests = np.array([r.f_best for r in records])
         rows.append((name, "glasd", float(f_bests.min()), _se(f_bests),
                      elapsed / args.starts))
@@ -248,7 +249,6 @@ def cmd_benchmark(args) -> int:
             base_seeds = derive_seeds(fn_seed + 1, args.starts)
             for s in base_seeds:
                 if args.variant == "corr":
-                    spec = BenchmarkSpec(name, "corr-manifold", dim=size)
                     obj = corr_objective(spec)
                     rec = random_search_minimize(
                         lambda a: obj(angles_to_corr(a)),
@@ -281,11 +281,11 @@ def cmd_benchmark(args) -> int:
 def cmd_estimate(args) -> int:
     config = _optimizer_config(args)
     master_seed = _resolve_seed(args.seed, config)
+    spec = make_loss_spec(args.loss, args.threshold)
     data = read_data_csv(args.data)
     out = ensure_outdir(args.out, "run.json", args.force)
 
     X_std = standardize_columns(data)
-    spec = make_loss_spec(args.loss, args.threshold)
     t0 = time.perf_counter()
     fit = estimate_correlation(X_std, spec, config=config,
                                n_starts=args.starts, master_seed=master_seed)

@@ -108,18 +108,21 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind != "gaussian":
-            if self.threshold is None:
+        # a given threshold must be valid for every kind, although the
+        # gaussian loss does not use it
+        if self.threshold is None:
+            if self.kind != "gaussian":
                 raise ValueError(
                     f"{self.kind} loss requires a threshold number or policy "
                     f"{THRESHOLD_POLICIES}"
                 )
-            if isinstance(self.threshold, str) and self.threshold not in THRESHOLD_POLICIES:
+        elif isinstance(self.threshold, str):
+            if self.threshold not in THRESHOLD_POLICIES:
                 raise ValueError(
                     f"threshold must be a positive number or one of {THRESHOLD_POLICIES}"
                 )
-            if not isinstance(self.threshold, str) and self.threshold <= 0:
-                raise ValueError("fixed threshold must be positive")
+        elif not self.threshold > 0:
+            raise ValueError("fixed threshold must be positive")
         if self.pilot_shrinkage_floor <= 0:
             raise ValueError("pilot_shrinkage_floor must be positive")
 

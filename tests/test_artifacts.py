@@ -141,3 +141,6 @@ class TestLossSpecParsing:
             make_loss_spec("huber", "many")
         with pytest.raises(ConfigError):
             make_loss_spec("hoober", "iqr")
+        with pytest.raises(ConfigError):
+            make_loss_spec("gaussian", "many")
+        assert make_loss_spec("gaussian", "6.5") == make_loss_spec("gaussian", "iqr-pilot")

@@ -184,6 +184,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BenchmarkSpec("nope", "box", dim=3)
 
+    def test_box_rosenbrock_needs_two_dimensions(self):
+        # a sum over adjacent pairs: constant at dimension 1
+        with pytest.raises(ValueError):
+            BenchmarkSpec("rosenbrock", "box", dim=1)
+        assert BenchmarkSpec("rosenbrock", "box", dim=2).dim == 2
+        assert BenchmarkSpec("ackley", "box", dim=1).dim == 1
+
     def test_box_domains(self):
         dom = benchmark_box_domain("rastrigin", 4)
         assert np.allclose(dom.lower, -5.12) and np.allclose(dom.upper, 5.12)

@@ -70,6 +70,9 @@ class TestOptimizeCommand:
         ["optimize", "--fn", "ackley", "--variant", "box", "--dim", "0"],
         ["benchmark", "--fn", "ackley", "--variant", "box", "--dim", "0"],
         ["estimate", "DATA", "--starts", "0"],
+        # the box Rosenbrock is constant at dimension 1
+        ["optimize", "--fn", "rosenbrock", "--variant", "box", "--dim", "1"],
+        ["benchmark", "--fn", "rosenbrock", "--variant", "box", "--dim", "1"],
     ])
     def test_bad_sizes_exit_2_before_output(self, tmp_path, argv):
         data = tmp_path / "d.csv"
@@ -112,6 +115,17 @@ class TestOptimizeCommand:
 
 
 class TestEstimateCommand:
+    @pytest.mark.parametrize("loss", ["gaussian", "huber", "truncated", "tukey"])
+    @pytest.mark.parametrize("threshold", ["bogus", "-1", "0", "nan"])
+    def test_bad_threshold_exit_2_before_output(self, tmp_path, loss, threshold):
+        # the gaussian loss does not use the threshold, but a bad one is still an error
+        data = tmp_path / "d.csv"
+        write_clean_csv(data, n=50)
+        out = tmp_path / "run"
+        assert main(["estimate", str(data), "--loss", loss, "--threshold", threshold,
+                     "--seed", "1", "--max-iters", "20", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_duplicated_column_fully_correlated(self, tmp_path):
         rng = np.random.default_rng(4)
         base = rng.standard_normal(120)
