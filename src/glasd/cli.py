@@ -204,7 +204,9 @@ def cmd_optimize(args) -> int:
         "mean_runtime_s": elapsed / args.starts,
         "per_start": [
             {"seed": r.seed, "f_best": r.f_best, "iterations": r.iterations,
-             "evaluations": r.evaluations, "termination": r.termination}
+             "evaluations": r.evaluations, "termination": r.termination,
+             "explore": r.explore, "explore_accepts": r.explore_accepts,
+             "greedy_accepts": r.greedy_accepts, "nonfinite": r.nonfinite}
             for r in records
         ],
         "optimizer_config": asdict(config),

@@ -37,6 +37,11 @@ class TestOptimizeCommand:
         assert record["master_seed"] == 7
         assert len(record["start_seeds"]) == 3
         assert (out / "best_matrix.csv").exists()
+        for start in record["per_start"]:
+            # move counters: greedy proposals are iterations - explore
+            assert 0 <= start["explore_accepts"] <= start["explore"] <= start["iterations"]
+            assert 0 <= start["greedy_accepts"] <= start["iterations"] - start["explore"]
+            assert start["nonfinite"] == 0
         for k in range(3):
             trace = (out / f"trace_{k:02d}.csv").read_text().splitlines()
             vals = [float(ln.split(",")[2]) for ln in trace[1:]]
