@@ -1,14 +1,14 @@
 """Adaptive stochastic descent over compact boxes.
 
-Two modes of the same single-coordinate search:
+Two modes of the same single-coordinate search loop:
 
 * ``asd_minimize`` only ever accepts strictly improving steps and adapts a
   per-direction step size and selection probability after every greedy
   proposal.
 * ``glasd_minimize`` additionally forces, with probability ``1/m`` per
   iteration, a random exploration step whose non-improving moves are accepted
-  with probability ``min(1, m*c/log(1 + t))``, which lets the search leave
-  local minima.
+  with a probability that decays like ``1/log(1 + t)``, which lets the search
+  leave local minima.
 
 The loop state lives in :class:`Search`, an ask/tell object that never calls
 the objective itself; ``glasd_minimize`` drives one ``Search`` with one
@@ -413,16 +413,15 @@ def glasd_minimize(
     resolved for ``domain``.  Returns the run's :class:`RunRecord`.
     """
     search = Search(domain, x0, config)
-    ask, tell = search.ask, search.tell
     while not search.done:
-        x = ask()
+        x = search.ask()
         try:
             value = float(f(x))
         except Exception as exc:
             raise ObjectiveEvaluationError(
                 f"objective evaluation failed at {x!r}", point=x
             ) from exc
-        tell(value)
+        search.tell(value)
     return search.record()
 
 
