@@ -28,7 +28,6 @@ from .losses import (
     mahalanobis_sq_all,
     outlier_report,
     read_data_csv,
-    resolve_threshold,
     rho_huber,
     rho_truncated,
     rho_tukey,
@@ -77,7 +76,7 @@ __all__ = [
     "EstimateResult", "estimate_correlation",
     "AngleObjective", "DataMatrix", "LossSpec", "iqr_threshold", "loss_gaussian", "loss_robust",
     "mahalanobis_sq_all", "outlier_report",
-    "read_data_csv", "resolve_threshold", "rho_huber", "rho_truncated",
+    "read_data_csv", "rho_huber", "rho_truncated",
     "rho_tukey", "sample_correlation", "shrink_to_pd", "standardize_columns",
     "MatrixObjective", "angle_dim", "angles_to_corr", "cholesky_rows", "corr_to_angles",
     "default_angle_box", "factor_row", "minimize_over_corr",

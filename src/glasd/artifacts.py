@@ -10,7 +10,8 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import asdict, fields
+import typing
+from dataclasses import asdict
 
 import numpy as np
 
@@ -101,13 +102,16 @@ def ensure_outdir(out, record_name: str, force: bool) -> str:
 # ---------------------------------------------------------------------------
 # config files (INI: flat key/value entries grouped into sections)
 
-_OPTIMIZER_KEYS = {
-    "s_init": float,
-    "s_inc": float, "s_dec": float, "p_inc": float, "p_dec": float,
-    "m": int, "c": float, "r_policy": str, "r": float,
-    "max_iters": int, "stagnation_window": int, "epsilon": float,
-    "explore_enabled": bool, "seed": int,
-}
+def _field_types(cls) -> dict:
+    """Field name -> type of a dataclass, with ``None`` dropped from each union."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        out[name] = args[0] if args else hint
+    return out
+
+
+_OPTIMIZER_KEYS = _field_types(OptimizerConfig)
 
 
 def _parse_section(section, schema, where):
@@ -138,10 +142,7 @@ def load_optimizer_overrides(path) -> dict:
 
 
 def optimizer_config_from(overrides: dict) -> OptimizerConfig:
-    valid = {f.name for f in fields(OptimizerConfig)}
-    bad = set(overrides) - valid
-    if bad:
-        raise ConfigError(f"unknown optimizer keys: {sorted(bad)}")
+    """OptimizerConfig from checked keyword values; a bad value is a ConfigError."""
     try:
         return OptimizerConfig(**overrides)
     except ValueError as exc:

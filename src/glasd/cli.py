@@ -38,7 +38,7 @@ from .benchmarks import BENCHMARKS, BenchmarkSpec, benchmark_box_domain, corr_ob
 from .errors import ConfigError, GlasdError, MalformedDataError
 from .estimate import estimate_correlation
 from .losses import outlier_report, read_data_csv, standardize_columns
-from .manifold import angles_to_corr, default_angle_box, minimize_over_corr
+from .manifold import MatrixObjective, angle_dim, default_angle_box, minimize_over_corr
 from .optimizer import (
     OptimizerConfig,
     _resolve_seed,
@@ -46,7 +46,7 @@ from .optimizer import (
     multi_start_minimize,
     random_search_minimize,
 )
-from .simulate import run_scenario
+from .simulate import _standard_error, run_scenario
 
 
 def _at_least(low: int):
@@ -138,18 +138,19 @@ def _optimizer_config(args) -> OptimizerConfig:
     return optimizer_config_from(overrides)
 
 
-def _se(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(values.size))
-
-
 def _benchmark_spec(name: str, variant: str, size: int) -> BenchmarkSpec:
     """The benchmark instance; a name or size it cannot take is a ConfigError."""
     try:
         return BenchmarkSpec(name, "corr-manifold" if variant == "corr" else "box", dim=size)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _problem(spec: BenchmarkSpec):
+    """The benchmark as a search problem: (objective over the box, box)."""
+    if spec.variant == "corr-manifold":
+        return MatrixObjective(corr_objective(spec), spec.dim), default_angle_box(spec.dim)
+    return BENCHMARKS[spec.name][0], benchmark_box_domain(spec.name, spec.dim)
 
 
 def _run_benchmark(spec, config, n_starts, master_seed):
@@ -161,23 +162,17 @@ def _run_benchmark(spec, config, n_starts, master_seed):
             n_starts=n_starts, master_seed=master_seed,
         )
     else:
-        func = BENCHMARKS[spec.name][0]
         records = multi_start_minimize(
-            func, benchmark_box_domain(spec.name, spec.dim), config=config,
-            n_starts=n_starts, master_seed=master_seed,
+            *_problem(spec), config=config, n_starts=n_starts, master_seed=master_seed,
         )
         best_C = None
     return records, best_C, time.perf_counter() - t0
 
 
-def _problem_dim(variant: str, size: int) -> int:
-    return size * (size - 1) // 2 if variant == "corr" else size
-
-
-def _resolved_record(config: OptimizerConfig, variant: str, size: int) -> dict:
-    """The configuration the searches ran with; no ``seed`` key, because each
-    search derives its seed from the master seed."""
-    record = asdict(config.resolved(_problem_dim(variant, size)))
+def _resolved_record(config: OptimizerConfig, dim: int) -> dict:
+    """The configuration the searches ran with at search dimension ``dim``; no
+    ``seed`` key, because each search derives its seed from the master seed."""
+    record = asdict(config.resolved(dim))
     del record["seed"]
     return record
 
@@ -191,6 +186,7 @@ def cmd_optimize(args) -> int:
 
     records, best_C, elapsed = _run_benchmark(spec, config, args.starts, master_seed)
     f_bests = np.array([r.f_best for r in records])
+    dim = angle_dim(size) if args.variant == "corr" else size
     record = {
         "command": "optimize",
         "benchmark": args.fn,
@@ -200,7 +196,7 @@ def cmd_optimize(args) -> int:
         "master_seed": master_seed,
         "start_seeds": [r.seed for r in records],
         "min_value": float(f_bests.min()),
-        "se_of_values": _se(f_bests),
+        "se_of_values": _standard_error(f_bests),
         "mean_runtime_s": elapsed / args.starts,
         "per_start": [
             {"seed": r.seed, "f_best": r.f_best, "iterations": r.iterations,
@@ -210,7 +206,7 @@ def cmd_optimize(args) -> int:
             for r in records
         ],
         "optimizer_config": asdict(config),
-        "optimizer_config_resolved": _resolved_record(config, args.variant, size),
+        "optimizer_config_resolved": _resolved_record(config, dim),
     }
     write_json(f"{out}/result.json", record)
     for k, rec in enumerate(records):
@@ -220,8 +216,8 @@ def cmd_optimize(args) -> int:
         write_matrix_csv(f"{out}/best_matrix.csv", best_C, names)
         best = min(records, key=lambda r: r.f_best)
         write_angles_csv(f"{out}/best_angles.csv", best.x_best)
-    print(f"{args.fn} ({args.variant}, size {size}): "
-          f"min {f_bests.min():.4g}, s.e. {_se(f_bests):.4g} over {args.starts} starts")
+    print(f"{args.fn} ({args.variant}, size {size}): min {f_bests.min():.4g}, "
+          f"s.e. {_standard_error(f_bests):.4g} over {args.starts} starts")
     return 0
 
 
@@ -240,29 +236,20 @@ def cmd_benchmark(args) -> int:
         fn_seed = fn_seeds[k]
         records, _, elapsed = _run_benchmark(spec, config, args.starts, fn_seed)
         f_bests = np.array([r.f_best for r in records])
-        rows.append((name, "glasd", float(f_bests.min()), _se(f_bests),
+        rows.append((name, "glasd", float(f_bests.min()), _standard_error(f_bests),
                      elapsed / args.starts))
         detail.append({"benchmark": name, "solver": "glasd", "seed": fn_seed,
                        "values": [r.f_best for r in records]})
         if args.baseline == "random":
-            budget = config.resolved(_problem_dim(args.variant, size)).max_iters
-            base_vals = []
             t0 = time.perf_counter()
-            base_seeds = derive_seeds(fn_seed + 1, args.starts)
-            for s in base_seeds:
-                if args.variant == "corr":
-                    obj = corr_objective(spec)
-                    rec = random_search_minimize(
-                        lambda a: obj(angles_to_corr(a)),
-                        default_angle_box(size), budget, seed=s)
-                else:
-                    rec = random_search_minimize(
-                        BENCHMARKS[name][0], benchmark_box_domain(name, size),
-                        budget, seed=s)
-                base_vals.append(rec.f_best)
-            base_vals = np.array(base_vals)
-            rows.append((name, "random-search", float(base_vals.min()),
-                         _se(base_vals), (time.perf_counter() - t0) / args.starts))
+            objective, domain = _problem(spec)
+            budget = config.resolved(domain.dim).max_iters
+            base_vals = np.array([
+                random_search_minimize(objective, domain, budget, seed=s).f_best
+                for s in derive_seeds(fn_seed + 1, args.starts)
+            ])
+            rows.append((name, "random-search", float(base_vals.min()), _standard_error(base_vals),
+                         (time.perf_counter() - t0) / args.starts))
             detail.append({"benchmark": name, "solver": "random-search",
                            "seed": fn_seed + 1, "values": base_vals.tolist()})
 
@@ -309,7 +296,7 @@ def cmd_estimate(args) -> int:
         "f_best": fit.f_best,
         "runtime_s": elapsed,
         "optimizer_config": asdict(config),
-        "optimizer_config_resolved": _resolved_record(config, "corr", data.p),
+        "optimizer_config_resolved": _resolved_record(config, angle_dim(data.p)),
     })
     print(f"estimated {data.p} x {data.p} correlation ({args.loss}); "
           f"objective {fit.f_best:.4g}")

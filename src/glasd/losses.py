@@ -39,20 +39,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import (
-    DegenerateDataError,
-    DomainMismatchError,
-    MalformedDataError,
-    NotPositiveDefiniteError,
-)
-from .manifold import OneAngleObjective, cholesky_rows
+from .errors import DegenerateDataError, DomainMismatchError, MalformedDataError
+from .manifold import OneAngleObjective, _cholesky, cholesky_rows
 
 LOSS_KINDS = ("gaussian", "huber", "truncated", "tukey")
 THRESHOLD_POLICIES = ("iqr-auto", "iqr-pilot")
@@ -133,13 +128,6 @@ def _values(X) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
-def _chol(C: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(np.asarray(C, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-
-
 def mahalanobis_sq_all(X, C) -> np.ndarray:
     """Squared Mahalanobis distance of every row of X under metric C."""
     V = _values(X)
@@ -148,7 +136,7 @@ def mahalanobis_sq_all(X, C) -> np.ndarray:
         raise DomainMismatchError(
             f"data has {V.shape[1]} columns but the matrix is {C.shape[0]} x {C.shape[0]}"
         )
-    return _sq_dist(V, _chol(C))
+    return _sq_dist(V, _cholesky(C))
 
 
 def loss_gaussian(X, C) -> float:
@@ -183,8 +171,8 @@ def rho_truncated(d2, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _iqr_cutoff(s: np.ndarray, multiplier: float = 3.0) -> float:
-    """Q3 + multiplier*IQR of the ascending array s, floored at 1e-12.
+def _quartiles(s: np.ndarray) -> tuple[float, float]:
+    """Q1 and Q3 of the ascending array s.
 
     Quartiles interpolate linearly at (n-1)*q, the np.quantile default; a
     sort is cheaper than np.quantile at the sizes evaluated every iteration.
@@ -196,7 +184,12 @@ def _iqr_cutoff(s: np.ndarray, multiplier: float = 3.0) -> float:
         k = int(pos)
         lo = s.item(k)
         vals.append(lo + (pos - k) * (s.item(min(k + 1, n - 1)) - lo))
-    q1, q3 = vals
+    return vals[0], vals[1]
+
+
+def _iqr_cutoff(s: np.ndarray, multiplier: float = 3.0) -> float:
+    """Q3 + multiplier*IQR of the ascending array s, floored at 1e-12."""
+    q1, q3 = _quartiles(s)
     return max(q3 + multiplier * (q3 - q1), 1e-12)
 
 
@@ -258,7 +251,7 @@ def _loss_threshold(spec: LossSpec):
     if thr is None or thr == "iqr-pilot":
         raise ValueError(
             "threshold not resolved to a number (resolve 'iqr-pilot' with "
-            "resolve_threshold first)"
+            "resolved_spec first)"
         )
     return thr
 
@@ -269,9 +262,9 @@ def loss_robust(X, C, spec: LossSpec) -> float:
     A numeric threshold (d^2 scale; for tukey it is the plateau location
     tau^2) is used as given; 'iqr-auto' recomputes the cutoff from the
     distances under C itself.  'iqr-pilot' must be resolved to a number first
-    with :func:`resolve_threshold`.  The gaussian kind ignores the threshold.
+    with :func:`resolved_spec`.  The gaussian kind ignores the threshold.
     """
-    return _loss_robust_from_factor(X, _chol(C), spec)
+    return _loss_robust_from_factor(X, _cholesky(C), spec)
 
 
 def _loss_robust_from_factor(X, L: np.ndarray, spec: LossSpec) -> float:
@@ -443,34 +436,22 @@ def pilot_correlation(X, eig_floor: float = 1e-3) -> np.ndarray:
     return shrink_to_pd(sample_correlation(X), eig_floor)
 
 
-def resolve_threshold(X, spec: LossSpec, pilot: np.ndarray | None = None) -> float:
-    """IQR cutoff frozen from distances under the shrunk-sample-correlation pilot.
-
-    Returns Q3 + 3*IQR of the squared Mahalanobis distances computed once
-    under the pilot correlation.  The value is on the d^2 scale for every loss
-    kind (for tukey it is the plateau location tau^2).  ``pilot`` is
-    ``pilot_correlation(X, spec.pilot_shrinkage_floor)`` when a caller has
-    built it already; by default it is built here.
-    """
-    if spec.threshold not in THRESHOLD_POLICIES:
-        raise ValueError("resolve_threshold only applies to policy thresholds")
-    if pilot is None:
-        pilot = pilot_correlation(X, spec.pilot_shrinkage_floor)
-    return iqr_threshold(mahalanobis_sq_all(X, pilot))
-
-
 def resolved_spec(X, spec: LossSpec, pilot: np.ndarray | None = None) -> LossSpec:
-    """Copy of spec with a frozen-pilot policy replaced by its number.
+    """Copy of spec with the frozen 'iqr-pilot' policy replaced by its number.
 
-    The per-evaluation 'iqr-auto' policy passes through untouched; it is
-    resolved inside the loss at every evaluation.  ``pilot`` is passed on to
-    :func:`resolve_threshold`.
+    The number is Q3 + 3*IQR (:func:`iqr_threshold`) of the squared
+    Mahalanobis distances of X under the pilot correlation, on the d^2 scale
+    for every loss kind (for tukey it is the plateau location tau^2).
+    ``pilot`` is ``pilot_correlation(X, spec.pilot_shrinkage_floor)`` when a
+    caller has built it already; by default it is built here.  Any other
+    spec, the per-evaluation 'iqr-auto' policy included, is returned as it
+    is; 'iqr-auto' is resolved inside the loss at every evaluation.
     """
     if spec.kind == "gaussian" or spec.threshold != "iqr-pilot":
         return spec
-    return LossSpec(kind=spec.kind,
-                    threshold=resolve_threshold(X, spec, pilot),
-                    pilot_shrinkage_floor=spec.pilot_shrinkage_floor)
+    if pilot is None:
+        pilot = pilot_correlation(X, spec.pilot_shrinkage_floor)
+    return replace(spec, threshold=iqr_threshold(mahalanobis_sq_all(X, pilot)))
 
 
 def outlier_report(X) -> list[tuple[str, int]]:
@@ -479,7 +460,7 @@ def outlier_report(X) -> list[tuple[str, int]]:
     counts = []
     for j, name in enumerate(X.names()):
         col = X.values[:, j]
-        q1, q3 = np.quantile(col, [0.25, 0.75])
+        q1, q3 = _quartiles(np.sort(col))
         iqr = q3 - q1
         lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
         counts.append((name, int(np.sum((col < lo) | (col > hi)))))

@@ -84,21 +84,12 @@ def _angle_layout(M: int):
     """Index maps turning the flat angle vector into the triangular factor.
 
     Angles of row m (m = 2..M) occupy positions 0..m-2 of padded-grid row
-    m-2.  Entry k of that block lands in the factor at (m-1, m-1-k) with
-    value (product of the first k sines) * cos(angle k); column 0 takes the
-    full sine product.
+    m-2, which is the row-major order of ``np.tril_indices(M - 1)``.  Entry k
+    of that block lands in the factor at (m-1, m-1-k) with value (product of
+    the first k sines) * cos(angle k); column 0 takes the full sine product.
     """
-    pad_row, pad_col, tgt_row, tgt_col = [], [], [], []
-    for m in range(2, M + 1):
-        r = m - 2
-        for k in range(m - 1):
-            pad_row.append(r)
-            pad_col.append(k)
-            tgt_row.append(m - 1)
-            tgt_col.append(m - 1 - k)
-    idx = np.arange(M - 1)
-    return (np.array(pad_row), np.array(pad_col),
-            np.array(tgt_row), np.array(tgt_col), idx)
+    pad_row, pad_col = np.tril_indices(M - 1)
+    return pad_row, pad_col, pad_row + 1, pad_row + 1 - pad_col, np.arange(M - 1)
 
 
 def cholesky_rows(angles: np.ndarray) -> np.ndarray:
@@ -168,8 +159,10 @@ def corr_to_angles(C: np.ndarray) -> np.ndarray:
     still-unexplained row prefix, and the last angle is recovered with
     ``atan2`` so its full ``[0, 2pi)`` range keeps entry signs.  When a prefix
     norm falls below ``DEGENERATE_NORM`` the remaining angles of that row do
-    not affect the matrix; they are set to their interval midpoints.  All
-    results are clamped into the default angle box.
+    not affect the matrix; they keep their interval midpoints (for the
+    identity, every angle but the first of each row).  All results are
+    clamped into the default angle box.  A matrix without a Cholesky factor
+    raises NotPositiveDefiniteError.
     """
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -177,42 +170,35 @@ def corr_to_angles(C: np.ndarray) -> np.ndarray:
     M = C.shape[0]
     if M < 2:
         raise ValueError("matrix dimension must be >= 2")
-    try:
-        L = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
+    L = _cholesky(C)
 
     box = default_angle_box(M)
-    angles = np.empty(angle_dim(M))
+    angles = 0.5 * (box.lower + box.upper)
     for m in range(2, M + 1):
-        r = m - 1
-        row = L[r, : m]
-        w = np.empty(m - 1)
+        row = L[m - 1, :m]
+        w = angles[_row_slice(m)]         # a view: row m's angles, midpoints until set
         if m == 2:
             w[0] = math.atan2(row[0], row[1])
+            continue
+        for k in range(1, m - 1):
+            # norm of entries not yet explained by angles w_1..w_{k-1}
+            rho = math.sqrt(float(np.dot(row[: m - k + 1], row[: m - k + 1])))
+            if rho < DEGENERATE_NORM:
+                break
+            w[k - 1] = math.acos(min(max(row[m - k] / rho, -1.0), 1.0))
         else:
-            filled = False
-            for k in range(1, m - 1):
-                # norm of entries not yet explained by angles w_1..w_{k-1}
-                rho = math.sqrt(float(np.dot(row[: m - k + 1], row[: m - k + 1])))
-                if rho < DEGENERATE_NORM:
-                    mid = 0.5 * (box.lower + box.upper)
-                    w[k - 1:] = mid[_row_slice(m)][k - 1:]
-                    filled = True
-                    break
-                w[k - 1] = math.acos(min(max(row[m - k] / rho, -1.0), 1.0))
-            if not filled:
-                rho = math.sqrt(float(row[0] ** 2 + row[1] ** 2))
-                if rho < DEGENERATE_NORM:
-                    mid = 0.5 * (box.lower + box.upper)
-                    w[m - 2] = mid[_row_slice(m)][m - 2]
-                else:
-                    last = math.atan2(row[0], row[1])
-                    if last < 0.0:
-                        last += 2 * math.pi
-                    w[m - 2] = last
-        angles[_row_slice(m)] = w
+            if math.sqrt(float(row[0] ** 2 + row[1] ** 2)) >= DEGENERATE_NORM:
+                last = math.atan2(row[0], row[1])
+                w[m - 2] = last + 2 * math.pi if last < 0.0 else last
     return np.minimum(np.maximum(angles, box.lower), box.upper)
+
+
+def _cholesky(C) -> np.ndarray:
+    """Lower Cholesky factor of C; NotPositiveDefiniteError when C has none."""
+    try:
+        return np.linalg.cholesky(np.asarray(C, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
 
 
 class OneAngleObjective:

@@ -35,6 +35,13 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def _standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of values; 0 for fewer than two values."""
+    if values.size < 2:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(values.size))
+
+
 @dataclass(frozen=True)
 class StructureSpec:
     """True correlation structure for one scenario."""
@@ -152,10 +159,9 @@ class ScenarioResult:
         for ls in self.spec.losses:
             vals = np.array([c.rmse for c in self.cells if c.loss == ls.kind])
             times = np.array([c.runtime_s for c in self.cells if c.loss == ls.kind])
-            se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
             out[ls.kind] = {
                 "mean_rmse": float(vals.mean()),
-                "se_rmse": se,
+                "se_rmse": _standard_error(vals),
                 "mean_runtime_s": float(times.mean()),
             }
         return out

@@ -177,7 +177,7 @@ class TestSpecValidation:
         assert BenchmarkSpec("rastrigin", "corr-manifold", dim=5).scale == 10.0
         assert BenchmarkSpec("griewank", "corr-manifold", dim=5).scale == 100.0
         assert BenchmarkSpec("rosenbrock", "corr-manifold", dim=5).scale == 100.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             BenchmarkSpec("ackley", "corr-manifold", dim=5, scale=3.0)
 
     def test_unknown_name(self):

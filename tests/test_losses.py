@@ -25,7 +25,6 @@ from glasd.losses import (
     outlier_report,
     pilot_correlation,
     read_data_csv,
-    resolve_threshold,
     resolved_spec,
     rho_huber,
     rho_truncated,
@@ -313,21 +312,21 @@ class TestResolveThreshold:
         Xw = q * math.sqrt(400 - 1)
         S = sample_correlation(Xw)
         assert np.abs(S - np.eye(4)).max() < 1e-10
-        thr = resolve_threshold(Xw, LossSpec("truncated", "iqr-auto"))
+        thr = resolved_spec(Xw, LossSpec("truncated", "iqr-pilot")).threshold
         d2 = np.sum(Xw**2, axis=1)
         assert thr == pytest.approx(iqr_threshold(d2), rel=1e-12)
 
     def test_chi_square_bracket(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((1000, 5))
-        thr = resolve_threshold(X, LossSpec("huber", "iqr-auto"))
+        thr = resolved_spec(X, LossSpec("huber", "iqr-pilot")).threshold
         assert 11.0 <= thr <= 30.0
 
     def test_shifted_row_exceeds_threshold(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((200, 5))
         X[13] += 100.0
-        thr = resolve_threshold(X, LossSpec("truncated", "iqr-auto"))
+        thr = resolved_spec(X, LossSpec("truncated", "iqr-pilot")).threshold
         d2 = mahalanobis_sq_all(X, pilot_correlation(X))
         assert d2[13] > thr
 
@@ -336,7 +335,7 @@ class TestResolveThreshold:
         X[:, 1] = np.arange(50)
         X[:, 2] = np.arange(50) ** 2
         with pytest.raises(DegenerateDataError):
-            resolve_threshold(X, LossSpec("huber", "iqr-auto"))
+            resolved_spec(X, LossSpec("huber", "iqr-pilot"))
 
 
 class TestShrinkage:
