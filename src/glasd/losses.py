@@ -94,7 +94,12 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss family plus its threshold: a number on the d^2 scale or a policy."""
+    """Loss family plus its threshold: a number on the d^2 scale or a policy.
+
+    A numeric threshold must be positive and finite, and
+    ``pilot_shrinkage_floor`` (the pilot's minimum eigenvalue) must lie in
+    (0, 1).
+    """
 
     kind: str = "gaussian"
     threshold: float | str | None = None
@@ -116,10 +121,10 @@ class LossSpec:
                 raise ValueError(
                     f"threshold must be a positive number or one of {THRESHOLD_POLICIES}"
                 )
-        elif not self.threshold > 0:
-            raise ValueError("fixed threshold must be positive")
-        if self.pilot_shrinkage_floor <= 0:
-            raise ValueError("pilot_shrinkage_floor must be positive")
+        elif not 0 < self.threshold < math.inf:
+            raise ValueError("fixed threshold must be positive and finite")
+        if not 0 < self.pilot_shrinkage_floor < 1:
+            raise ValueError("pilot_shrinkage_floor must lie in (0, 1)")
 
 
 def _values(X) -> np.ndarray:

@@ -87,7 +87,9 @@ class OptimizerConfig:
     Derived defaults: ``c = 0.001*ln(n)``, ``max_iters = round(3000*ln(n))``
     and ``stagnation_window = 4n``, with ``ln(max(n, 2))`` replacing ``ln(n)``
     so one-dimensional problems keep a positive temperature and budget.  The
-    2n direction weights always start equal.
+    2n direction weights always start equal.  Every number must be finite;
+    ``r`` is the exploration radius of ``r_policy = "fixed"`` and is refused
+    under the default policy, which ignores it.
     """
 
     s_init: float = 0.1
@@ -106,25 +108,28 @@ class OptimizerConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.s_init <= 0:
-            raise ValueError("s_init must be positive")
+        # each check is written so that NaN fails it
+        if not 0 < self.s_init < math.inf:
+            raise ValueError("s_init must be positive and finite")
         for name in ("s_inc", "s_dec", "p_inc", "p_dec"):
-            if getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be > 1")
-        if self.m < 1:
+            if not 1 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 1")
+        if not self.m >= 1:
             raise ValueError("m must be >= 1")
-        if self.c is not None and self.c <= 0:
-            raise ValueError("c must be positive")
+        if self.c is not None and not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.r_policy not in ("dynamic-to-bound", "fixed"):
             raise ValueError("r_policy must be 'dynamic-to-bound' or 'fixed'")
-        if self.r_policy == "fixed" and (self.r is None or self.r <= 0):
-            raise ValueError("fixed r_policy needs a positive r")
-        if self.max_iters is not None and self.max_iters < 1:
+        if self.r_policy == "fixed" and (self.r is None or not 0 < self.r < math.inf):
+            raise ValueError("fixed r_policy needs a finite positive r")
+        if self.r_policy != "fixed" and self.r is not None:
+            raise ValueError("r applies only with r_policy 'fixed'")
+        if self.max_iters is not None and not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stagnation_window is not None and self.stagnation_window < 1:
+        if self.stagnation_window is not None and not self.stagnation_window >= 1:
             raise ValueError("stagnation_window must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
 
     def resolved(self, n: int) -> "OptimizerConfig":
         """Copy with every dimension-dependent default filled in for dimension n."""

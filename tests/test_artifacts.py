@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from glasd.artifacts import (
+    _OPTIMIZER_KEYS,
     fmt,
     load_optimizer_overrides,
     load_scenario_config,
@@ -11,6 +14,7 @@ from glasd.artifacts import (
     write_trace_csv,
 )
 from glasd.errors import ConfigError
+from glasd.optimizer import OptimizerConfig
 
 
 class TestMatrixCsv:
@@ -108,6 +112,22 @@ class TestScenarioConfig:
 
 
 class TestOptimizerOverrides:
+    def test_keys_are_the_config_fields(self):
+        # derived from OptimizerConfig's type hints, with None dropped
+        assert _OPTIMIZER_KEYS == {
+            "s_init": float, "s_inc": float, "s_dec": float, "p_inc": float,
+            "p_dec": float, "m": int, "c": float, "r_policy": str, "r": float,
+            "max_iters": int, "stagnation_window": int, "epsilon": float,
+            "explore_enabled": bool, "seed": int,
+        }
+        assert list(_OPTIMIZER_KEYS) == [f.name for f in fields(OptimizerConfig)]
+
+    def test_nonfinite_scenario_value_rejected(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_INI.replace("max_iters = 300", "max_iters = 300\ns_dec = nan"))
+        with pytest.raises(ConfigError, match="s_dec"):
+            load_scenario_config(path)
+
     def test_load(self, tmp_path):
         path = tmp_path / "o.ini"
         path.write_text("[optimizer]\nmax_iters = 42\ns_inc = 3.0\n")

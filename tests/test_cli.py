@@ -6,7 +6,10 @@ import pytest
 
 from conftest import assert_dirs_match
 from glasd.artifacts import read_matrix_csv
+from glasd.benchmarks import BenchmarkSpec, corr_objective
 from glasd.cli import main
+from glasd.manifold import angles_to_corr, default_angle_box
+from glasd.optimizer import derive_seeds, random_search_minimize
 from glasd.simulate import StructureSpec, gen_structure, sample_data
 
 OPT_INI = "[optimizer]\nmax_iters = 400\n"
@@ -109,6 +112,20 @@ class TestOptimizeCommand:
         assert "positive r" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ini, flags", [
+        ("s_init = nan", []), ("p_inc = inf", []), ("c = nan", []), ("", ["--epsilon", "nan"]),
+        ("r_policy = fixed\nr = inf", []),
+        # the radius applies only under the fixed policy
+        ("r = 0.05", []),
+    ])
+    def test_bad_tuning_values_exit_2_before_output(self, tmp_path, ini, flags):
+        config = tmp_path / "opt.ini"
+        config.write_text(f"[optimizer]\n{ini}\n")
+        out = tmp_path / "run"
+        assert main(["optimize", "--fn", "ackley", "--M", "3", "--config", str(config),
+                     "--seed", "5", "--max-iters", "20", "--out", str(out)] + flags) == 2
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -121,7 +138,7 @@ class TestOptimizeCommand:
 
 class TestEstimateCommand:
     @pytest.mark.parametrize("loss", ["gaussian", "huber", "truncated", "tukey"])
-    @pytest.mark.parametrize("threshold", ["bogus", "-1", "0", "nan"])
+    @pytest.mark.parametrize("threshold", ["bogus", "-1", "0", "nan", "inf"])
     def test_bad_threshold_exit_2_before_output(self, tmp_path, loss, threshold):
         # the gaussian loss does not use the threshold, but a bad one is still an error
         data = tmp_path / "d.csv"
@@ -351,6 +368,22 @@ class TestBenchmarkCommand:
         assert lines[0] == "benchmark,solver,min_value,se_of_values,mean_runtime_s"
         solvers = [ln.split(",")[1] for ln in lines[1:]]
         assert solvers == ["glasd", "random-search"] * 2
+
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_corr_random_baseline_values(self, tmp_path, M):
+        # the baseline's values are the test function at the matrix of each
+        # random point (at M = 2 every point is one angle from the last)
+        out = tmp_path / "run"
+        assert main(["benchmark", "--fn", "griewank", "--M", str(M), "--starts", "2",
+                     "--seed", "6", "--max-iters", "60", "--baseline", "random",
+                     "--out", str(out)]) == 0
+        runs = json.loads((out / "benchmark.json").read_text())["runs"]
+        base = next(r for r in runs if r["solver"] == "random-search")
+        obj = corr_objective(BenchmarkSpec("griewank", "corr-manifold", dim=M))
+        expected = [random_search_minimize(lambda a: obj(angles_to_corr(a)),
+                                           default_angle_box(M), 60, seed=s).f_best
+                    for s in derive_seeds(base["seed"], 2)]
+        assert base["values"] == expected
 
     def test_unknown_function_exit_2(self, tmp_path):
         assert main(["benchmark", "--fn", "nope", "--out", str(tmp_path / "r")]) == 2

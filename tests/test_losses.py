@@ -145,6 +145,17 @@ class TestRobustLoss:
             for kind in ("huber", "truncated", "tukey"):
                 assert loss_robust(X, TWO, LossSpec(kind, thr)) <= base + 1e-12
 
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": math.inf},
+        {"threshold": "iqr-auto", "pilot_shrinkage_floor": 1.0},
+        {"threshold": "iqr-auto", "pilot_shrinkage_floor": 2.0},
+        {"threshold": "iqr-auto", "pilot_shrinkage_floor": math.nan},
+    ])
+    def test_spec_numbers_checked(self, kwargs):
+        # a threshold must be finite and the pilot's eigenvalue floor in (0, 1)
+        with pytest.raises(ValueError):
+            LossSpec("huber", **kwargs)
+
     def test_unresolved_pilot_threshold_rejected(self):
         with pytest.raises(ValueError):
             loss_robust(self.X, TWO, LossSpec("huber", "iqr-pilot"))

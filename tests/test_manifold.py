@@ -238,6 +238,15 @@ class TestInverseMap:
         # unidentified tail angle lands mid-interval
         assert a[2] == pytest.approx((2 * math.pi - ANGLE_MARGIN) / 2)
 
+    @pytest.mark.parametrize("M", range(2, 9))
+    def test_identity_keeps_unidentified_angles_at_midpoints(self, M):
+        # row m >= 3 of the identity's factor leaves its prefix degenerate
+        # after the first angle (m >= 4) or at the last angle (m = 3)
+        box = default_angle_box(M)
+        expected = 0.5 * (box.lower + box.upper)
+        expected[[(m - 1) * (m - 2) // 2 for m in range(2, M + 1)]] = 0.0
+        assert np.array_equal(corr_to_angles(np.eye(M)), expected)
+
     def test_two_by_two(self):
         C = np.array([[1.0, 0.5], [0.5, 1.0]])
         a = corr_to_angles(C)

@@ -60,6 +60,22 @@ class TestBoxDomain:
             BoxDomain([0.0, 1.0], [1.0])
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["s_init", "s_inc", "s_dec", "p_inc", "p_dec",
+                                      "c", "r", "epsilon"])
+    def test_nonfinite_values_rejected(self, name, value):
+        # r is read only under the fixed policy
+        extra = {"r_policy": "fixed"} if name == "r" else {}
+        with pytest.raises(ValueError):
+            OptimizerConfig(**{name: value}, **extra)
+
+    def test_r_needs_the_fixed_policy(self):
+        with pytest.raises(ValueError, match="r_policy"):
+            OptimizerConfig(r=0.05)
+        assert OptimizerConfig(r_policy="fixed", r=0.05).r == 0.05
+
+
 class TestAcceptanceProb:
     def test_caps_at_one(self):
         # 5 / ln 2 > 1
