@@ -41,6 +41,7 @@ from .losses import outlier_report, read_data_csv, standardize_columns
 from .manifold import MatrixObjective, angle_dim, default_angle_box, minimize_over_corr
 from .optimizer import (
     OptimizerConfig,
+    RunRecord,
     _resolve_seed,
     derive_seeds,
     multi_start_minimize,
@@ -169,6 +170,11 @@ def _run_benchmark(spec, config, n_starts, master_seed):
     return records, best_C, time.perf_counter() - t0
 
 
+def _start_record(r: RunRecord) -> dict:
+    """One start of a multi-start run, as the JSON records list it."""
+    return {"seed": r.seed, "f_best": r.f_best, "termination": r.termination, **r.counters()}
+
+
 def _resolved_record(config: OptimizerConfig, dim: int) -> dict:
     """The configuration the searches ran with at search dimension ``dim``; no
     ``seed`` key, because each search derives its seed from the master seed."""
@@ -198,13 +204,7 @@ def cmd_optimize(args) -> int:
         "min_value": float(f_bests.min()),
         "se_of_values": _standard_error(f_bests),
         "mean_runtime_s": elapsed / args.starts,
-        "per_start": [
-            {"seed": r.seed, "f_best": r.f_best, "iterations": r.iterations,
-             "evaluations": r.evaluations, "termination": r.termination,
-             "explore": r.explore, "explore_accepts": r.explore_accepts,
-             "greedy_accepts": r.greedy_accepts, "nonfinite": r.nonfinite}
-            for r in records
-        ],
+        "per_start": [_start_record(r) for r in records],
         "optimizer_config": asdict(config),
         "optimizer_config_resolved": _resolved_record(config, dim),
     }
@@ -293,6 +293,7 @@ def cmd_estimate(args) -> int:
         "n_starts": args.starts,
         "master_seed": master_seed,
         "start_seeds": fit.start_seeds,
+        "per_start": [_start_record(r) for r in fit.records],
         "f_best": fit.f_best,
         "runtime_s": elapsed,
         "optimizer_config": asdict(config),
@@ -325,7 +326,7 @@ def cmd_simulate(args) -> int:
         "cells": [
             {"replicate": c.replicate, "loss": c.loss, "rmse": c.rmse,
              "f_best": c.f_best, "threshold": c.threshold,
-             "runtime_s": c.runtime_s, "opt_seed": c.opt_seed}
+             "runtime_s": c.runtime_s, "opt_seed": c.opt_seed, **c.counters}
             for c in result.cells
         ],
         "aggregates": agg,

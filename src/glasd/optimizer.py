@@ -167,6 +167,13 @@ class RunRecord:
     greedy_accepts: int = 0
     nonfinite: int = 0
 
+    def counters(self) -> dict[str, int]:
+        """The run's deterministic counts by name: iterations, evaluations and
+        the move counters."""
+        return {"iterations": self.iterations, "evaluations": self.evaluations,
+                "explore": self.explore, "explore_accepts": self.explore_accepts,
+                "greedy_accepts": self.greedy_accepts, "nonfinite": self.nonfinite}
+
 
 def acceptance_prob(t: float, m: int, c: float) -> float:
     """Probability of accepting a non-improving exploration move at iteration t."""

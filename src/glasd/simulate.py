@@ -145,6 +145,7 @@ class CellResult:
     threshold: float | None
     runtime_s: float
     opt_seed: int
+    counters: dict[str, int]    # RunRecord.counters() summed over the fit's starts
 
 
 @dataclass(frozen=True)
@@ -292,9 +293,11 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
                     f"estimation failed in replicate {r} for loss {ls.kind!r}"
                 ) from exc
             elapsed = time.perf_counter() - t0
+            counts = [rec.counters() for rec in fit.records]
             cells.append(CellResult(
                 replicate=r, loss=ls.kind, rmse=rmse(fit.corr, C_true),
                 f_best=fit.f_best, threshold=fit.threshold,
                 runtime_s=elapsed, opt_seed=seed,
+                counters={k: sum(c[k] for c in counts) for k in counts[0]},
             ))
     return ScenarioResult(spec=spec, cells=cells, data_seeds=data_seeds)

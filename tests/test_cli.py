@@ -189,6 +189,12 @@ class TestEstimateCommand:
         record = json.loads((out / "run.json").read_text())
         assert record["threshold"] > 0
         assert record["threshold_policy"] == "iqr"
+        # the per-start records of optimize's result.json
+        assert [s["seed"] for s in record["per_start"]] == record["start_seeds"]
+        assert min(s["f_best"] for s in record["per_start"]) == record["f_best"]
+        for start in record["per_start"]:
+            assert start["evaluations"] == start["iterations"] + 1
+            assert 0 <= start["explore_accepts"] <= start["explore"] <= start["iterations"]
 
     def test_fixed_threshold(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -289,6 +295,11 @@ class TestSimulateCommand:
         record = json.loads((out / "scenario.json").read_text())
         assert len(record["cells"]) == 8
         assert len(record["data_seeds"]) == 2
+        for cell in record["cells"]:
+            # counters summed over the cell's starts
+            assert cell["evaluations"] >= cell["iterations"] + 2
+            assert 0 <= cell["greedy_accepts"] <= cell["iterations"] - cell["explore"]
+            assert cell["nonfinite"] >= 0
 
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = tmp_path / "s.ini"
