@@ -7,7 +7,7 @@ Every objective has the same shape,
 where ``d_i^2 = x_i^T C^{-1} x_i`` and ``rho`` is the identity (gaussian), the
 Huber transition to a linear tail, a hard cap (truncated), or the biweight
 plateau (tukey).  Distances are computed through the Cholesky factor of C
-with triangular solves; no matrix is ever inverted explicitly.
+by forward substitution (:func:`_forward`), in numpy alone.
 
 Thresholds for the robust kinds live on the d^2 scale.  Two automatic
 policies exist:
@@ -28,11 +28,13 @@ Both policies, and the reported threshold, use one quartile rule
 
 The search evaluates the objective as a function of the angle vector through
 :class:`AngleObjective`.  Each search proposal moves one angle, which changes
-one row of the factor, so a proposal costs O(pn): the row is rebuilt alone,
-and the whitened data ``L^{-1} X^T`` changes in that row plus a rank-one term
-in the rows below it.  A full evaluation (factor build plus an n p^2
-triangular solve) runs only at a new start or after a move in several
-angles.  :func:`loss_robust` is the single reference evaluation.
+one row of the factor, so a proposal costs O(p(n + p)): the row is rebuilt
+alone, and the whitened data ``L^{-1} X^T`` changes in that row plus a
+rank-one term in the rows below it.  The objective also whitens the identity;
+the cached whitened identity ``L^{-1}`` supplies the rank-one term's tail
+vector as a column read.  A full evaluation (factor build plus an n p^2 forward
+substitution) runs only at a new start or after a move in several angles.
+:func:`loss_robust` is the single reference evaluation.
 """
 
 from __future__ import annotations
@@ -42,19 +44,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import DegenerateDataError, DomainMismatchError, MalformedDataError
 from .manifold import OneAngleObjective, _cholesky, cholesky_rows
 
 LOSS_KINDS = ("gaussian", "huber", "truncated", "tukey")
 THRESHOLD_POLICIES = ("iqr-auto", "iqr-pilot")
-# Rounding error in a column of L^{-1} X^T kept up to date by rank-one updates
-# scales with the largest d^2 the column held since the last full solve; when
-# that exceeds the current d^2 by more than this factor, the objective solves
-# afresh.
+# Rounding error in a column of L^{-1} [X^T | I] kept up to date by rank-one
+# updates scales with the largest squared norm the column held since the last
+# full solve; when that exceeds the current one by more than this factor, the
+# objective solves afresh.
 GROWTH_LIMIT = 1e8
 
 
@@ -237,14 +236,24 @@ def _loss_value(n: int, logdet: float, d2: np.ndarray, kind: str, thr) -> float:
     return 0.5 * n * logdet + 0.5 * rho_sum
 
 
-def _whiten(V: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Y = L^{-1} V^T, one row per variable, one column per observation."""
-    return solve_triangular(L, V.T, lower=True, check_finite=False)
+def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Y = L^{-1} B for lower-triangular L, by forward substitution.
+
+    Row i is ``(B[i] - L[i, :i] @ Y[:i]) / L[i, i]``, the arithmetic of the
+    one-angle update in :class:`AngleObjective`.
+    """
+    Y = np.empty(B.shape)
+    for i in range(L.shape[0]):
+        y = Y[i]
+        np.dot(L[i, :i], Y[:i], out=y)
+        np.subtract(B[i], y, out=y)
+        y /= L[i, i]
+    return Y
 
 
 def _sq_dist(V: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every row of V under the metric L L^T."""
-    Y = _whiten(V, L)
+    Y = _forward(L, V.T)
     return np.einsum("ij,ij->j", Y, Y)
 
 
@@ -293,22 +302,26 @@ class AngleObjective(OneAngleObjective):
     spec)`` up to rounding; ``spec`` must not hold an unresolved 'iqr-pilot'.
     The move rule (which cached point a proposal is one angle from, and when
     the full path runs) is :class:`~glasd.manifold.OneAngleObjective`'s.  For
-    a base point this objective caches, besides L, Y = L^{-1} X^T (one row per
-    variable) and the per-column prefix sums of the squared rows of Y.  A
-    point one angle away from the base, in factor row r, costs O(pn) instead
-    of O(p^2 n):
+    a base point this objective caches, besides L, ``Y = L^{-1} [X^T | I_p]``
+    (one row per variable; n data columns, then the p columns of
+    ``W = L^{-1}``) and the per-column prefix sums of the squared rows of Y.
+    A point one angle away from the base, in factor row r, costs O(p(n + p))
+    instead of O(p^2 n):
 
     * row r alone is rebuilt from its angles (:func:`factor_row`);
-    * ``y'_r = (x_r - L'[r,:r] Y[:r]) / L'[r,r]``; rows above r keep their Y;
+    * ``y'_r = (b_r - L'[r,:r] Y[:r]) / L'[r,r]``, with ``b_r`` row r of
+      ``[X^T | I_p]``; rows above r keep their Y;
     * the rows below move by a rank-one term, ``Y[r+1:] - z (y'_r - y_r)^T``,
-      where ``z = L[r+1:,r+1:]^{-1} L[r+1:,r]`` comes from one triangular
-      solve on the unchanged tail block (no explicit inverse);
+      where ``z = L[r+1:,r+1:]^{-1} L[r+1:,r] = -W[r+1:,r] L[r,r]`` is a
+      column of the cached whitened identity;
     * ``d^2 = prefix[r-1] + y'_r^2 +`` column sums of the squared new tail,
       and log det swaps one diagonal entry.
 
-    The full path is :func:`cholesky_rows` plus one n p^2 triangular solve.
-    Per observation the objective also keeps the largest d^2 of the base
-    points since the last full solve.  A one-angle result whose d^2 lies more
+    The loss and the 'iqr-auto' cutoff read only the n data columns of
+    ``d^2``.  The full path is :func:`cholesky_rows` plus one forward
+    substitution (:func:`_forward`).  Per column, data and identity alike, the
+    objective also keeps the largest squared norm of the base points since
+    the last full solve.  A one-angle result whose squared norm lies more
     than ``GROWTH_LIMIT`` below that (say after leaving a near-singular point)
     would carry the cancellation error of the large values, so that point
     takes the full path instead.
@@ -319,16 +332,16 @@ class AngleObjective(OneAngleObjective):
         n, p = V.shape
         super().__init__(p)
         self._V = V
-        self._XT = np.ascontiguousarray(V.T)
+        self._B = np.hstack([V.T, np.eye(p)])     # [X^T | I_p]
         self._kind = spec.kind
         self._thr = _loss_threshold(spec)
-        self._Y = np.empty((p, n))
-        self._prefix = np.empty((p, n))   # prefix[i] = column sums of Y[:i+1]**2
-        self._fresh = 0                   # prefix rows below this are current
+        self._Y = np.empty((p, n + p))
+        self._prefix = np.empty((p, n + p))  # prefix[i] = column sums of Y[:i+1]**2
+        self._fresh = 0                      # prefix rows below this are current
         self._logdiag = np.empty(p)
         self._logsum = 0.0
-        self._tail = np.empty((p, n))     # Y rows r..p-1 of the pending point
-        self._d2_floor = np.empty(n)      # largest base d^2 / GROWTH_LIMIT
+        self._tail = np.empty((p, n + p))    # Y rows r..p-1 of the pending point
+        self._sq_floor = np.empty(n + p)     # largest base squared norm / GROWTH_LIMIT
 
     def threshold_at(self, angles) -> float | None:
         """The d^2 cutoff in force at ``angles``: None for gaussian, the fixed
@@ -337,35 +350,37 @@ class AngleObjective(OneAngleObjective):
             return None if self._thr is None else float(self._thr)
         return _iqr_cutoff(np.sort(_sq_dist(self._V, cholesky_rows(angles))))
 
+    def _loss_at(self, logdet: float, sq: np.ndarray) -> float:
+        n = self._V.shape[0]
+        return _loss_value(n, logdet, sq[:n], self._kind, self._thr)
+
     def _rebase(self, L: np.ndarray) -> float:
-        Y = _whiten(self._V, L)
-        self._Y[:] = Y
+        Y = self._Y
+        Y[:] = _forward(L, self._B)
         self._fresh = 0
         np.log(np.diag(L), out=self._logdiag)
         self._logsum = float(np.sum(self._logdiag))
-        d2 = np.einsum("ij,ij->j", Y, Y)
-        np.divide(d2, GROWTH_LIMIT, out=self._d2_floor)
-        return _loss_value(self._V.shape[0], 2.0 * self._logsum, d2,
-                           self._kind, self._thr)
+        sq = np.einsum("ij,ij->j", Y, Y)
+        np.divide(sq, GROWTH_LIMIT, out=self._sq_floor)
+        return self._loss_at(2.0 * self._logsum, sq)
 
     def _move(self, r: int, row: np.ndarray):
         L, Y, tail = self._L, self._Y, self._tail
         y = tail[r]
         np.dot(row[:r], Y[:r], out=y)
-        np.subtract(self._XT[r], y, out=y)
+        np.subtract(self._B[r], y, out=y)
         y /= row[r]
-        d2 = self._head_sq(r) + y * y
+        sq = self._head_sq(r) + y * y
         if r + 1 < L.shape[0]:
-            z, _ = dtrtrs(L[r + 1:, r + 1:], L[r + 1:, r], lower=1)
+            z = Y[r + 1:, self._V.shape[0] + r] * -L[r, r]
             below = tail[r + 1:]
-            np.copyto(below, Y[r + 1:])
-            # below -= z (y - Y[r])^T, on the Fortran view of the C-ordered rows
-            dger(-1.0, y - Y[r], z, a=below.T, overwrite_a=1)
-            d2 += np.einsum("ij,ij->j", below, below)
-        if (d2 < self._d2_floor).any():
+            np.dot(z[:, None], (Y[r] - y)[None, :], out=below)
+            below += Y[r + 1:]
+            sq += np.einsum("ij,ij->j", below, below)
+        if (sq < self._sq_floor).any():
             return None
         logdet = 2.0 * (self._logsum - self._logdiag[r] + math.log(row[r]))
-        return _loss_value(self._V.shape[0], logdet, d2, self._kind, self._thr), d2
+        return self._loss_at(logdet, sq), sq
 
     def _head_sq(self, r: int) -> np.ndarray:
         """Column sums of Y[:r]**2 for the base, extending stale prefix rows."""
@@ -377,12 +392,12 @@ class AngleObjective(OneAngleObjective):
         self._fresh = max(self._fresh, r)
         return P[r - 1]
 
-    def _accept(self, r: int, row: np.ndarray, d2: np.ndarray) -> None:
+    def _accept(self, r: int, row: np.ndarray, sq: np.ndarray) -> None:
         self._Y[r:] = self._tail[r:]
         self._fresh = min(self._fresh, r)
         self._logdiag[r] = math.log(row[r])
         self._logsum = float(np.sum(self._logdiag))
-        np.maximum(self._d2_floor, d2 / GROWTH_LIMIT, out=self._d2_floor)
+        np.maximum(self._sq_floor, sq / GROWTH_LIMIT, out=self._sq_floor)
 
 
 def iqr_threshold(values, multiplier: float = 3.0) -> float:

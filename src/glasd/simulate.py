@@ -16,6 +16,7 @@ optimum of every loss in the family, robust or not.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -63,14 +64,26 @@ class StructureSpec:
         lo, hi = self.value_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError("value_range must lie within (0, 1)")
-        if abs(sum(self.block_fractions) - 1.0) > 1e-12:
+        # every check is written so that NaN fails it
+        if not all(f >= 0.0 for f in self.block_fractions):
+            raise ValueError("block fractions must be nonnegative numbers")
+        if not abs(sum(self.block_fractions) - 1.0) <= 1e-12:
             raise ValueError("block fractions must sum to 1")
         if len(self.block_fractions) != len(self.block_decays):
             raise ValueError("need one decay per block")
         if not all(0.0 < d < 1.0 for d in self.block_decays):
             raise ValueError("decays must lie in (0, 1)")
-        if self.kind == "block-toeplitz" and self.p < 4:
-            raise ValueError("block-toeplitz needs p >= 4 for three nonempty blocks")
+        if self.kind == "block-toeplitz" and min(_block_sizes(self)) < 1:
+            raise ValueError(f"block fractions {self.block_fractions} leave a block "
+                             f"empty at p = {self.p}")
+
+
+def _block_sizes(spec: StructureSpec) -> list[int]:
+    """Block sizes of a block-toeplitz structure: rounded fractions of p, the
+    last block taking the rest."""
+    sizes = [_round_half_up(spec.p * f) for f in spec.block_fractions[:-1]]
+    sizes.append(spec.p - sum(sizes))
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,8 @@ class ContaminationSpec:
             raise ValueError("entry_fraction bounds must lie in [0, 1]")
         if self.shift is None:
             object.__setattr__(self, "shift", 100.0 if self.kind == "random" else 10.0)
+        if not math.isfinite(self.shift):
+            raise ValueError("shift must be finite")
 
 
 @dataclass(frozen=True)
@@ -121,8 +136,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.distribution not in ("gaussian", "t"):
             raise ValueError("distribution must be 'gaussian' or 't'")
-        if self.df < 1:
-            raise ValueError("df must be >= 1")
+        if not 1.0 <= self.df < math.inf:
+            raise ValueError("df must be finite and >= 1")
         if self.replicates < 1 or self.n_starts < 1:
             raise ValueError("replicates and n_starts must be >= 1")
         if self.n < 2:
@@ -189,13 +204,9 @@ def gen_structure(spec: StructureSpec, rng: np.random.Generator) -> np.ndarray:
         # identity shrinkage keeps the unit diagonal and the zero pattern
         return shrink_to_pd(C)
 
-    sizes = [_round_half_up(p * f) for f in spec.block_fractions[:-1]]
-    sizes.append(p - sum(sizes))
-    if any(s < 1 for s in sizes):
-        raise ValueError("p too small for the requested block fractions")
     C = np.zeros((p, p))
     start = 0
-    for size, decay in zip(sizes, spec.block_decays):
+    for size, decay in zip(_block_sizes(spec), spec.block_decays):
         idx = np.arange(size)
         C[start:start + size, start:start + size] = decay ** np.abs(idx[:, None] - idx[None, :])
         start += size

@@ -122,10 +122,23 @@ class TestOptimizerOverrides:
         }
         assert list(_OPTIMIZER_KEYS) == [f.name for f in fields(OptimizerConfig)]
 
-    def test_nonfinite_scenario_value_rejected(self, tmp_path):
+    BLOCKS = "kind = block-toeplitz\nblock_fractions = "
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("max_iters = 300", "max_iters = 300\ns_dec = nan", "s_dec"),
+        ("distribution = gaussian", "distribution = t\ndf = nan", "df"),
+        ("fraction = 0.1", "fraction = 0.1\nshift = nan", "shift"),
+        ("fraction = 0.1", "fraction = 0.1\nshift = inf", "shift"),
+        ("kind = sparse-uniform", BLOCKS + "nan,0.5,0.25", "block fractions"),
+        ("kind = sparse-uniform", BLOCKS + "1.5,-0.75,0.25", "block fractions"),
+        # round(6 * 0.05) = 0: the first block would be empty at p = 6
+        ("kind = sparse-uniform", BLOCKS + "0.05,0.9,0.05", "empty"),
+    ], ids=["s_dec", "df", "shift-nan", "shift-inf", "fractions-nan",
+            "fractions-negative", "fractions-empty-block"])
+    def test_nonfinite_scenario_value_rejected(self, tmp_path, old, new, match):
         path = tmp_path / "s.ini"
-        path.write_text(SCENARIO_INI.replace("max_iters = 300", "max_iters = 300\ns_dec = nan"))
-        with pytest.raises(ConfigError, match="s_dec"):
+        path.write_text(SCENARIO_INI.replace(old, new))
+        with pytest.raises(ConfigError, match=match):
             load_scenario_config(path)
 
     def test_load(self, tmp_path):

@@ -306,6 +306,13 @@ class TestSimulateCommand:
         cfg.write_text(SCENARIO_INI.replace("kind = rows", "kind = rowz"))
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
+    def test_nonfinite_df_exit_2_before_output(self, tmp_path):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SCENARIO_INI.replace("n = 60", "n = 60\ndistribution = t\ndf = nan"))
+        out = tmp_path / "r"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "s.ini"
         cfg.write_text(SCENARIO_INI)

@@ -13,6 +13,7 @@ from glasd.errors import (
 )
 from glasd.losses import (
     LOSS_KINDS,
+    _forward,
     _loss_robust_from_factor,
     _loss_value,
     AngleObjective,
@@ -73,6 +74,24 @@ class TestMahalanobis:
             expected = np.einsum("ij,jk,ik->i", X, np.linalg.inv(C), X)
             got = mahalanobis_sq_all(X, C)
             assert np.abs(got - expected).max() < 1e-8
+
+
+class TestForward:
+    @settings(deadline=None, max_examples=200)
+    @given(p=st.integers(2, 12), cols=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           corners=st.floats(0.0, 1.0))
+    def test_matches_dense_solve(self, p, cols, seed, corners):
+        # angles at the box bounds put diagonals of the factor near 1e-6
+        rng = np.random.default_rng(seed)
+        box = default_angle_box(p)
+        a = rng.uniform(box.lower, box.upper)
+        hit = rng.random(a.size) < corners
+        a[hit] = np.where(rng.random(a.size) < 0.5, box.lower, box.upper)[hit]
+        L = cholesky_rows(a)
+        B = np.hstack([rng.standard_t(3.0, (p, cols)), np.eye(p)])
+        ref = np.linalg.solve(L, B)
+        err = np.linalg.norm(_forward(L, B) - ref) / np.linalg.norm(ref)
+        assert err <= p * np.linalg.cond(L) * np.finfo(float).eps
 
 
 class TestGaussianLoss:
@@ -234,6 +253,13 @@ class TestAngleObjective:
     @example(p=4, kind="gaussian", policy="number", seed=1,
              moves=[(0, 0.0, False, "jump"), (0, 0.0, False, "one"),
                     (0, 0.5, False, "one")])
+    # a full solve at a near-singular point, an accepted move in row 2 (a
+    # rank-one update of row 3 of L^{-1}), then a move in row 1 whose tail
+    # vector reads that updated row
+    @example(p=4, kind="huber", policy="iqr-auto", seed=2,
+             moves=[(0, 0.0, True, "jump"), (1, 0.5, True, "one"),
+                    (0, 1e-7, False, "one"), (0, 1e-6, True, "one"),
+                    (2, 0.2, False, "one")])
     @given(p=st.integers(2, 12), kind=st.sampled_from(LOSS_KINDS),
            policy=st.sampled_from(["number", "iqr-pilot", "iqr-auto"]),
            seed=st.integers(0, 2**32 - 1), moves=st.lists(MOVES, min_size=1, max_size=40))
@@ -288,6 +314,30 @@ class TestAngleObjective:
         a[[2, 9]] = box.lower[[2, 9]]
         f(a)                                  # two angles at once: full path
         assert len(calls) == 2
+
+    def test_growth_guard_covers_identity_columns(self, monkeypatch):
+        # at a near-singular point whose near-null direction (x0 + x1) the data
+        # avoids, only columns of L^{-1} are large; leaving the point shrinks
+        # them by ~1e12, and that alone must send the move down the full path
+        import glasd.manifold
+
+        p = 3
+        box = default_angle_box(p)
+        x = np.random.default_rng(0).standard_normal((2, 40))
+        X = np.column_stack([x[0], -x[0], x[1]])
+        spec = LossSpec("gaussian")
+        f = AngleObjective(X, spec)
+        calls = []
+        monkeypatch.setattr(glasd.manifold, "cholesky_rows",
+                            lambda a: (calls.append(1), cholesky_rows(a))[1])
+        a = 0.5 * (box.lower + box.upper)
+        a[0] = box.lower[0]                 # row 1 diagonal 1e-6
+        f(a)
+        a[0] = 0.0
+        value = f(a)
+        assert len(calls) == 2
+        assert value == pytest.approx(_loss_robust_from_factor(X, cholesky_rows(a), spec),
+                                      rel=1e-13)
 
     def test_dimension_mismatch(self):
         f = AngleObjective(np.ones((5, 3)) + np.eye(5, 3), LossSpec("gaussian"))
