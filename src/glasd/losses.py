@@ -33,7 +33,7 @@ alone, and the whitened data ``L^{-1} X^T`` changes in that row plus a
 rank-one term in the rows below it.  The objective also whitens the identity;
 the cached whitened identity ``L^{-1}`` supplies the rank-one term's tail
 vector as a column read.  A full evaluation (factor build plus an n p^2 forward
-substitution) runs only at a new start or after a move in several angles.
+substitution) runs at a start, and at a proposal the growth guard refuses.
 :func:`loss_robust` is the single reference evaluation.
 """
 
@@ -298,11 +298,10 @@ def _loss_robust_from_factor(X, L: np.ndarray, spec: LossSpec) -> float:
 class AngleObjective(OneAngleObjective):
     """The loss of ``spec`` on data X as a function of the angle vector.
 
-    ``f(angles)`` equals the reference ``loss_robust(X, angles_to_corr(angles),
-    spec)`` up to rounding; ``spec`` must not hold an unresolved 'iqr-pilot'.
-    The move rule (which cached point a proposal is one angle from, and when
-    the full path runs) is :class:`~glasd.manifold.OneAngleObjective`'s.  For
-    a base point this objective caches, besides L, ``Y = L^{-1} [X^T | I_p]``
+    ``f(angles)`` and ``f.move(angles, i)`` (:class:`~glasd.manifold.OneAngleObjective`)
+    equal the reference ``loss_robust(X, angles_to_corr(angles), spec)`` up
+    to rounding; ``spec`` must not hold an unresolved 'iqr-pilot'.  For the
+    base point this objective caches, besides L, ``Y = L^{-1} [X^T | I_p]``
     (one row per variable; n data columns, then the p columns of
     ``W = L^{-1}``) and the per-column prefix sums of the squared rows of Y.
     A point one angle away from the base, in factor row r, costs O(p(n + p))
@@ -340,7 +339,7 @@ class AngleObjective(OneAngleObjective):
         self._fresh = 0                      # prefix rows below this are current
         self._logdiag = np.empty(p)
         self._logsum = 0.0
-        self._tail = np.empty((p, n + p))    # Y rows r..p-1 of the pending point
+        self._tail = np.empty((p, n + p))    # Y rows r..p-1 of the last move's point
         self._sq_floor = np.empty(n + p)     # largest base squared norm / GROWTH_LIMIT
 
     def threshold_at(self, angles) -> float | None:

@@ -20,11 +20,12 @@ box maps to a valid correlation matrix, and every full-rank correlation matrix
 maps back to a unique interior angle vector.
 
 The search moves one angle per proposal, and one angle of row m changes
-only row m of the factor.  :class:`OneAngleObjective` holds the move rule
-shared by the objectives over the angle vector: it caches the factor of a
-base point and rebuilds the moved row alone (:func:`factor_row`).  With it,
-:class:`MatrixObjective` evaluates a black-box matrix loss at O(M^2) per
-one-angle move, by rewriting one row and column of the cached matrix.
+only row m of the factor.  :class:`OneAngleObjective`, the base of the
+objectives over the angle vector, hears from the search which angle each
+proposal moved and which proposals it accepted: it caches the factor of the
+search's current point and rebuilds the moved row alone (:func:`factor_row`).
+With it, :class:`MatrixObjective` evaluates a black-box matrix loss at
+O(M^2) per one-angle move, by rewriting one row and column of the cached matrix.
 """
 
 from __future__ import annotations
@@ -206,78 +207,71 @@ class OneAngleObjective:
 
     The single-coordinate search proposes points one angle away from its
     current point, and one angle of factor row r changes only row r of L.
-    The objective caches the factor ``L`` of a base point; a subclass caches
-    what it derives from ``L`` and implements
+    The objective caches the factor ``L`` of a base point, the search's
+    current point, and takes the calls of :func:`~glasd.optimizer.glasd_minimize`:
 
-    * ``_rebase(L)``: the value at a new base point whose factor is ``L``;
-    * ``_move(r, row)``: the value at the base with factor row r replaced by
-      ``row`` (entries ``L[r, :r+1]``), as ``(value, payload)``, or None to
-      send the point down the full path;
-    * ``_accept(r, row, payload)``: make that moved point the base.
+    * ``f(angles)`` evaluates any point by the full path,
+      :func:`cholesky_rows` plus ``_rebase(L)``, and makes it the base;
+    * ``move(angles, i)`` evaluates the current point with angle i, of
+      factor row r, moved: row r alone is rebuilt, and ``_move(r, row)``
+      returns ``(value, payload)``, or None to send the point down the full
+      path.  A move that leaves the angle as it is returns the base value;
+    * ``accept()`` makes the point of the last move the base (``_accept``).
 
-    The evaluated point is kept as pending.  The next call promotes it to the
-    base when that call's point is one angle from it, and either more than
-    one angle from the base or, when both are one angle away, the pending
-    value is lower (a descent search accepts a lower value).  Any other
-    point (a new start, a warm start, a jump in several angles) takes the
-    full path: :func:`cholesky_rows` plus ``_rebase``.  The guess only
-    decides which path runs; every path evaluates the point it is given.
+    A subclass caches what it derives from ``L``.  After a full path inside
+    ``move`` the base is that proposal; if the search rejects it, the next
+    move in another angle first moves the base back to the current point.
     """
 
     def __init__(self, M: int):
         self._dim = angle_dim(M)
-        self._row_of = np.repeat(np.arange(1, M), np.arange(1, M))  # angle -> factor row
+        # angle -> (its factor row r, the first angle of row r)
+        self._rows = [(r, r * (r - 1) // 2) for r in range(1, M) for _ in range(r)]
         self._L = np.empty((M, M))
-        self._base = None
-        self._value = math.nan
-        self._pending = None              # (angles, value, row index r, new row r, payload)
+        self._angles, self._value = [], math.nan   # the base point and its value
+        self._stale = None                # angle in which the base and current point differ
+        self._moved = None                # (angle i, its value, r, row r, value, payload)
 
     def __call__(self, angles) -> float:
         a = np.asarray(angles, dtype=float)
-        if self._base is None or a.shape != self._base.shape:
-            return self._full(a)
-        moved = (a != self._base).nonzero()[0]
-        if self._pending is not None and (moved.size > 1
-                                          or self._pending[1] < self._value):
-            from_pending = (a != self._pending[0]).nonzero()[0]
-            if from_pending.size <= 1:
-                self._promote()
-                moved = from_pending
-        if moved.size == 0:
-            return self._value
-        if moved.size == 1:
-            return self._one_angle(a, int(moved[0]))
-        return self._full(a)
-
-    def _full(self, a: np.ndarray) -> float:
         if a.shape != (self._dim,):
             raise DomainMismatchError(
                 f"expected {self._dim} angles for a {self._L.shape[0]} x "
                 f"{self._L.shape[0]} matrix, got shape {a.shape}")
-        self._base = self._pending = None
-        L = cholesky_rows(a)
-        self._L[:] = L
-        value = self._rebase(L)
-        self._base, self._value = a.copy(), value
-        return value
+        self._L = L = cholesky_rows(a)
+        self._value = self._rebase(L)
+        self._angles, self._stale = a.tolist(), None
+        return self._value
 
-    def _one_angle(self, a: np.ndarray, i: int) -> float:
-        r = int(self._row_of[i])
-        off = r * (r - 1) // 2
-        row = factor_row(a[off:off + r])
-        self._pending = None
+    def move(self, angles: np.ndarray, i: int) -> float:
+        """The value at ``angles``, the search's current point with angle i moved."""
+        self._moved = None
+        if self._stale is not None and self._stale != i:
+            current = angles.copy()       # the base with angle _stale moved
+            current[i] = self._angles[i]
+            self.move(current, self._stale)
+            self.accept()
+        v = angles.item(i)
+        if v == self._angles[i]:
+            return self._value
+        r, off = self._rows[i]
+        row = factor_row(angles[off:off + r])
         moved = self._move(r, row)
         if moved is None:
-            return self._full(a)
-        value, payload = moved
-        self._pending = (a.copy(), value, r, row, payload)
-        return value
+            value = self(angles)
+            self._stale = i
+            return value
+        self._moved = (i, v, r, row) + moved
+        return moved[0]
 
-    def _promote(self) -> None:
-        a, value, r, row, payload = self._pending
-        self._L[r, :r + 1] = row
-        self._accept(r, row, payload)
-        self._base, self._value, self._pending = a, value, None
+    def accept(self) -> None:
+        """The search accepted the point of the last ``move``: make it the base."""
+        if self._moved is not None:
+            i, v, r, row, value, payload = self._moved
+            self._L[r, :r + 1] = row
+            self._accept(r, row, payload)
+            self._angles[i], self._value, self._moved = v, value, None
+        self._stale = None
 
     def _rebase(self, L: np.ndarray) -> float:
         raise NotImplementedError
@@ -292,12 +286,12 @@ class OneAngleObjective:
 class MatrixObjective(OneAngleObjective):
     """A black-box loss on M x M correlation matrices as a function of the angles.
 
-    ``f(angles)`` is ``loss(C)`` for the correlation matrix of ``angles``;
-    a loss that raises :class:`NotPositiveDefiniteError` scores NaN, which
-    the search treats as a rejected point.  For the base point it caches L
-    and C.  A one-angle move in factor row r changes only row r of L, hence
-    only row and column
-    r of C = L L^T, so it costs O(M^2): the row is rebuilt alone
+    ``f(angles)``, and ``f.move(angles, i)``, is ``loss(C)`` for the
+    correlation matrix of ``angles``; a loss that raises
+    :class:`NotPositiveDefiniteError` scores NaN, which the search treats as
+    a rejected point.  For the base point it caches L and C.  A move in
+    factor row r changes only row r of L, hence only row and column r of
+    C = L L^T, so it costs O(M^2): the row is rebuilt alone
     (:func:`factor_row`), ``c = L[:, :r+1] @ row`` is its new column of C,
     with ``c[r] = 1`` and every entry clipped to [-1, 1], and ``c`` is written
     into row r and column r of a fresh copy of C.  The full path derives C

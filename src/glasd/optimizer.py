@@ -11,8 +11,8 @@ Two modes of the same single-coordinate search loop:
   leave local minima.
 
 The loop state lives in :class:`Search`, an ask/tell object that never calls
-the objective itself; ``glasd_minimize`` drives one ``Search`` with one
-objective.  Each :class:`RunRecord` counts the run's moves.
+the objective itself; one driver loop runs it for ``glasd_minimize`` and
+``multi_start_minimize``.  Each :class:`RunRecord` counts the run's moves.
 
 All proposals move a single coordinate and are clipped to half the distance
 to the facing bound, so every evaluated point is feasible by construction and
@@ -275,9 +275,9 @@ class Search:
     under the run seed.  A nonfinite value there raises
     ObjectiveEvaluationError for ``x0``; a drawn start is redrawn from the
     run's RNG, at most ``START_REDRAWS`` times.  Later points are proposals
-    one coordinate away from ``x``; a nonfinite value rejects a proposal.
-    ``x`` and ``f`` (None until the start is told), ``x_best``, ``f_best``,
-    ``t``, ``termination`` and the record's counters are public.
+    one coordinate, ``moved``, away from ``x``; a nonfinite value rejects a
+    proposal.  ``x``, ``f`` and ``moved`` (None until set), ``x_best``,
+    ``f_best``, ``t``, ``termination`` and the record's counters are public.
     """
 
     def __init__(self, domain: BoxDomain,
@@ -298,7 +298,7 @@ class Search:
                     f"x0 has dimension {self.x.shape}, domain has dimension {n}")
             if not domain.contains(self.x):
                 raise ValueError("x0 lies outside the domain")
-        self.f = self.f_best = self.x_best = self.termination = None
+        self.f = self.f_best = self.x_best = self.termination = self.moved = None
         self.t, self.done = 0, False
         self.explore = self.explore_accepts = self.greedy_accepts = self.nonfinite = 0
         self._lower, self._upper = domain.lower.tolist(), domain.upper.tolist()
@@ -333,11 +333,11 @@ class Search:
             mag = rng.uniform(0.0, cfg.r)
         x_new = x.copy()
         x_new[i] = min(max(xi + _half_gap_step(xi, lo, hi, sign, mag), lo), hi)
-        self._proposal = (x_new, j)
+        self._proposal, self.moved = (x_new, j), i
         return x_new
 
-    def tell(self, value: float) -> None:
-        """Report the objective value at the point the last ``ask()`` returned."""
+    def tell(self, value: float) -> bool:
+        """Report the value at the last ``ask()``'s point; True if it is now ``x``."""
         finite = math.isfinite(value)
         if not finite:
             self.nonfinite += 1
@@ -352,7 +352,7 @@ class Search:
             else:
                 self._redraws += 1
                 self.x = self._domain.sample(self._rng)
-            return
+            return finite
         if self._proposal is None:
             raise RuntimeError("tell() needs a point from ask()")
         x_new, j = self._proposal
@@ -392,6 +392,7 @@ class Search:
             self.done, self.termination = True, "stagnation"
         elif t == cfg.max_iters:
             self.done, self.termination = True, "max-iterations"
+        return self._last_accepted == t
 
     def record(self) -> RunRecord:
         """The run so far as a :class:`RunRecord` (call once the start is told)."""
@@ -409,6 +410,21 @@ class Search:
         )
 
 
+def _drive(search: Search, f) -> RunRecord:
+    """Run ``search`` to its end on ``f``, as :func:`glasd_minimize` describes."""
+    move, accept = getattr(f, "move", None), getattr(f, "accept", None)
+    while not search.done:
+        x, i = search.ask(), search.moved
+        try:
+            value = float(f(x) if i is None or move is None else move(x, i))
+        except Exception as exc:
+            raise ObjectiveEvaluationError(f"objective evaluation failed at {x!r}",
+                                           point=x) from exc
+        if search.tell(value) and i is not None and accept is not None:
+            accept()
+    return search.record()
+
+
 def glasd_minimize(
     f: Callable[[np.ndarray], float],
     domain: BoxDomain,
@@ -420,21 +436,14 @@ def glasd_minimize(
     Drives one :class:`Search` with ``f``, which maps a feasible point to a
     float and is called once per start point and once per iteration; an
     exception in ``f`` is raised as ObjectiveEvaluationError carrying the
-    point.  ``x0`` is a feasible start, drawn from the box under the run
-    seed when omitted.  ``config``'s dimension-dependent defaults are
-    resolved for ``domain``.  Returns the run's :class:`RunRecord`.
+    point.  An ``f`` with methods ``move(x, i)`` and ``accept()`` is called
+    as ``move(x, i)`` for a proposal ``x``, the current point with coordinate
+    ``i`` moved, and ``accept()`` follows each proposal the search accepts.
+    ``x0`` is a feasible start, drawn from the box under the run seed when
+    omitted.  ``config``'s dimension-dependent defaults are resolved for
+    ``domain``.  Returns the run's :class:`RunRecord`.
     """
-    search = Search(domain, x0, config)
-    while not search.done:
-        x = search.ask()
-        try:
-            value = float(f(x))
-        except Exception as exc:
-            raise ObjectiveEvaluationError(
-                f"objective evaluation failed at {x!r}", point=x
-            ) from exc
-        search.tell(value)
-    return search.record()
+    return _drive(Search(domain, x0, config), f)
 
 
 def asd_minimize(f, domain, x0=None, config=None) -> RunRecord:
@@ -447,21 +456,19 @@ def multi_start_minimize(
     f, domain, config=None, n_starts: int = 10,
     master_seed: int | None = None, x0_first=None,
 ) -> list[RunRecord]:
-    """Independent restarts with per-run seeds derived from one master seed:
-    ``master_seed``, else ``config.seed``, else a fresh seed.
+    """``n_starts`` independent restarts with per-run seeds derived from one
+    master seed: ``master_seed``, else ``config.seed``, else a fresh seed.
 
     The first run may be given an explicit start (warm start); all others
-    start from a uniform draw under their own seed.
+    start from a uniform draw under their own seed, and runs as in
+    :func:`glasd_minimize`.
     """
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     cfg = config if config is not None else OptimizerConfig()
     seeds = derive_seeds(_resolve_seed(master_seed, config), n_starts)
-    records = []
-    for k, run_seed in enumerate(seeds):
-        x0 = x0_first if (k == 0 and x0_first is not None) else None
-        records.append(
-            glasd_minimize(f, domain, x0=x0, config=replace(cfg, seed=run_seed))
-        )
-    return records
+    return [_drive(Search(domain, x0_first if k == 0 else None, replace(cfg, seed=run_seed)), f)
+            for k, run_seed in enumerate(seeds)]
 
 
 def random_search_minimize(

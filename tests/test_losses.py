@@ -34,7 +34,7 @@ from glasd.losses import (
     shrink_to_pd,
     standardize_columns,
 )
-from glasd.manifold import cholesky_rows, default_angle_box
+from glasd.manifold import cholesky_rows, corr_to_angles, default_angle_box
 
 TWO = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -260,24 +260,31 @@ class TestAngleObjective:
              moves=[(0, 0.0, True, "jump"), (1, 0.5, True, "one"),
                     (0, 1e-7, False, "one"), (0, 1e-6, True, "one"),
                     (2, 0.2, False, "one")])
+    # a move into a near-singular point, accepted; a rejected move out of it,
+    # which the growth guard solves afresh; then a move in another angle,
+    # which must not start from the rejected point
+    @example(p=3, kind="gaussian", policy="number", seed=0,
+             moves=[(0, 0.0, True, "one"), (0, 0.5, False, "one"),
+                    (1, 0.0, False, "one")])
     @given(p=st.integers(2, 12), kind=st.sampled_from(LOSS_KINDS),
            policy=st.sampled_from(["number", "iqr-pilot", "iqr-auto"]),
            seed=st.integers(0, 2**32 - 1), moves=st.lists(MOVES, min_size=1, max_size=40))
     def test_matches_full_evaluation(self, p, kind, policy, seed, moves):
-        # the caller's current point follows accept/reject; every evaluated
-        # point must agree with the reference evaluation from the full factor
+        # the caller's current point follows accept/reject, and a jump in two
+        # angles is a new start; every evaluated point must agree with the
+        # reference evaluation from the full factor
         rng = np.random.default_rng(seed)
         X = standardize_columns(rng.standard_t(3.0, (p + int(rng.integers(4, 40)), p)))
         spec = self._spec(kind, policy, X, rng)
         box = default_angle_box(p)
         f = AngleObjective(X, spec)
 
-        def check(a):
+        def check(a, value):
             ref = _loss_robust_from_factor(X, cholesky_rows(a), spec)
-            assert f(a) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+            assert value == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
         current = rng.uniform(box.lower, box.upper)
-        check(current)
+        check(current, f(current))
         i = 0
         for pick, frac, accept, shape in moves:
             a = current.copy()
@@ -287,8 +294,12 @@ class TestAngleObjective:
             if shape == "jump":
                 j = (i + 1 + pick // a.size) % a.size
                 a[j] = rng.uniform(box.lower[j], box.upper[j])
-            check(a)
+                check(a, f(a))
+                current = a
+                continue
+            check(a, f.move(a, i))
             if accept:
+                f.accept()
                 current = a
 
     def test_one_angle_move_skips_the_full_rebuild(self, monkeypatch):
@@ -309,11 +320,32 @@ class TestAngleObjective:
         for i in (0, 7, 14, 7):
             a = a.copy()
             a[i] = rng.uniform(box.lower[i], box.upper[i])
-            f(a)                              # accepted: the next move starts here
+            f.move(a, i)
+            f.accept()                        # the next move starts here
         assert len(calls) == 1
-        a[[2, 9]] = box.lower[[2, 9]]
-        f(a)                                  # two angles at once: full path
+        f(a)                                  # a plain call: always the full path
         assert len(calls) == 2
+
+    def test_null_move_is_not_evaluated(self, monkeypatch):
+        # a step toward a bound the angle sits on leaves the point as it is,
+        # as at the warm start corr_to_angles(I), whose rows >= 3 start at
+        # their first angle's lower bound 0
+        import glasd.losses
+        import glasd.manifold
+
+        X = np.random.default_rng(5).standard_normal((30, 4))
+        f = AngleObjective(X, LossSpec("huber", "iqr-auto"))
+        a = corr_to_angles(np.eye(4))
+        value = f(a)
+        calls = []
+        monkeypatch.setattr(glasd.manifold, "cholesky_rows",
+                            lambda a: (calls.append("cholesky_rows"), cholesky_rows(a))[1])
+        monkeypatch.setattr(glasd.losses, "_loss_value",
+                            lambda *args: (calls.append("loss"), _loss_value(*args))[1])
+        for i in (1, 3):
+            assert a[i] == 0.0
+            assert f.move(a.copy(), i) == value
+        assert calls == []
 
     def test_growth_guard_covers_identity_columns(self, monkeypatch):
         # at a near-singular point whose near-null direction (x0 + x1) the data
@@ -334,7 +366,7 @@ class TestAngleObjective:
         a[0] = box.lower[0]                 # row 1 diagonal 1e-6
         f(a)
         a[0] = 0.0
-        value = f(a)
+        value = f.move(a, 0)
         assert len(calls) == 2
         assert value == pytest.approx(_loss_robust_from_factor(X, cholesky_rows(a), spec),
                                       rel=1e-13)

@@ -131,10 +131,11 @@ MOVES = st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0), st.booleans(),
 
 
 def _walk(box, rng, moves):
-    """Points of a search that follows accept/reject: one-angle moves (box
-    bounds included), repeated moves of the same angle and two-angle jumps."""
+    """Points of a search that follows accept/reject, as (point, angle moved,
+    accept?): one-angle moves (box bounds included), repeated moves of the
+    same angle, and two-angle jumps, which are new starts (angle None)."""
     current = rng.uniform(box.lower, box.upper)
-    yield current
+    yield current, None, True
     i = 0
     for pick, frac, accept, shape in moves:
         a = current.copy()
@@ -144,9 +145,21 @@ def _walk(box, rng, moves):
         if shape == "jump":
             j = (i + 1 + pick // a.size) % a.size
             a[j] = rng.uniform(box.lower[j], box.upper[j])
-        yield a
+            yield a, None, True
+            current = a
+            continue
+        yield a, i, accept
         if accept:
             current = a
+
+
+def _told(f, a, i, accept):
+    """f's value at a, asked as the search driver asks: f(a) for a start,
+    f.move(a, i) for a move, then f.accept() when the search takes it."""
+    value = f(a) if i is None else f.move(a, i)
+    if accept and i is not None:
+        f.accept()
+    return value
 
 
 class TestMatrixObjective:
@@ -165,9 +178,9 @@ class TestMatrixObjective:
 
         f = MatrixObjective(loss, M)
         last = {}
-        for a in _walk(box, rng, moves):
+        for a, i, accept in _walk(box, rng, moves):
             before = len(seen)
-            value = f(a)
+            value = _told(f, a, i, accept)
             if len(seen) == before:          # the cached base point itself
                 assert value == last[a.tobytes()]
             else:
@@ -196,8 +209,8 @@ class TestMatrixObjective:
         f, g = MatrixObjective(clean, M), MatrixObjective(dirty, M)
         moves = [(int(rng.integers(10**6)), float(rng.random()), bool(rng.random() < 0.5),
                   "one") for _ in range(200)]
-        for a in _walk(box, rng, moves):
-            assert g(a) == f(a)
+        for a, i, accept in _walk(box, rng, moves):
+            assert _told(g, a, i, accept) == _told(f, a, i, accept)
 
     def test_one_angle_moves_skip_the_full_rebuild(self, monkeypatch):
         import glasd.manifold
@@ -217,10 +230,10 @@ class TestMatrixObjective:
         for i in (0, 7, 14, 7):
             a = a.copy()
             a[i] = rng.uniform(box.lower[i], box.upper[i])
-            f(a)                              # accepted: the next move starts here
+            f.move(a, i)
+            f.accept()                        # the next move starts here
         assert calls == {"cholesky_rows": 1, "angles_to_corr": 0}
-        a[[2, 9]] = box.lower[[2, 9]]
-        f(a)                                  # two angles at once: full path
+        f(a)                                  # a plain call: always the full path
         assert calls == {"cholesky_rows": 2, "angles_to_corr": 0}
 
         calls.update(cholesky_rows=0, angles_to_corr=0)
@@ -228,6 +241,25 @@ class TestMatrixObjective:
                            config=OptimizerConfig(max_iters=300), n_starts=3, master_seed=5)
         # one full path per start, plus the returned matrix
         assert calls == {"cholesky_rows": 4, "angles_to_corr": 1}
+
+
+    def test_null_move_is_not_evaluated(self, monkeypatch):
+        # a step toward a bound the angle sits on leaves the point as it is,
+        # as at the warm start corr_to_angles(I), whose rows >= 3 start at
+        # their first angle's lower bound 0
+        import glasd.manifold
+
+        calls = []
+        monkeypatch.setattr(glasd.manifold, "cholesky_rows",
+                            lambda a: (calls.append("cholesky_rows"), cholesky_rows(a))[1])
+        f = MatrixObjective(lambda C: (calls.append("loss"), float(np.sum(C * C)))[1], 4)
+        a = corr_to_angles(np.eye(4))
+        value = f(a)
+        calls.clear()
+        for i in (1, 3):
+            assert a[i] == 0.0
+            assert f.move(a.copy(), i) == value
+        assert calls == []
 
 
 class TestInverseMap:

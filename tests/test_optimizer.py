@@ -7,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glasd.errors import DomainMismatchError, ObjectiveEvaluationError
+from glasd.estimate import estimate_correlation
+from glasd.losses import LossSpec
+from glasd.manifold import minimize_over_corr
 from glasd.optimizer import (
     PROB_FLOOR,
     START_REDRAWS,
@@ -336,8 +339,8 @@ class TestSearch:
             x_before = search.x
             x = search.ask()
             assert dom.contains(x)
-            assert np.count_nonzero(x != x_before) <= 1
-            search.tell(value)
+            assert set(np.flatnonzero(x != x_before)) <= {search.moved}
+            assert search.tell(value) == (search.x is x)
             if math.isfinite(value):
                 lowest = min(lowest, value)
             else:
@@ -537,6 +540,24 @@ class TestMultiStart:
                                     config=OptimizerConfig(max_iters=3),
                                     n_starts=4, master_seed=9)
         assert [r.seed for r in recs] == derive_seeds(9, 4)
+
+
+    @pytest.mark.parametrize("n_starts", [0, -2])
+    @pytest.mark.parametrize("entry", ["multi_start_minimize", "minimize_over_corr",
+                                       "estimate_correlation"])
+    def test_needs_a_start(self, entry, n_starts):
+        cfg = OptimizerConfig(max_iters=3)
+        run = {
+            "multi_start_minimize": lambda: multi_start_minimize(
+                sphere, BoxDomain([0.0], [1.0]), cfg, n_starts=n_starts, master_seed=1),
+            "minimize_over_corr": lambda: minimize_over_corr(
+                lambda C: float(C.sum()), 3, cfg, n_starts=n_starts, master_seed=1),
+            "estimate_correlation": lambda: estimate_correlation(
+                np.random.default_rng(0).standard_normal((20, 3)), LossSpec("gaussian"),
+                cfg, n_starts=n_starts, master_seed=1),
+        }[entry]
+        with pytest.raises(ValueError, match="n_starts"):
+            run()
 
 
 class TestRandomSearch:
