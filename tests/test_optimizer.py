@@ -541,7 +541,6 @@ class TestMultiStart:
                                     n_starts=4, master_seed=9)
         assert [r.seed for r in recs] == derive_seeds(9, 4)
 
-
     @pytest.mark.parametrize("n_starts", [0, -2])
     @pytest.mark.parametrize("entry", ["multi_start_minimize", "minimize_over_corr",
                                        "estimate_correlation"])
