@@ -11,12 +11,12 @@ import configparser
 import json
 import os
 import typing
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .errors import ConfigError, MalformedDataError
-from .losses import LossSpec
+from .losses import LOSS_KINDS, LossSpec
 from .optimizer import OptimizerConfig
 from .simulate import (
     ContaminationSpec,
@@ -102,6 +102,14 @@ def ensure_outdir(out, record_name: str, force: bool) -> str:
 # ---------------------------------------------------------------------------
 # config files (INI: flat key/value entries grouped into sections)
 
+def _read_ini(path) -> configparser.ConfigParser:
+    """Parsed INI file; ``;`` after whitespace starts a comment, also after a value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    if not parser.read(path):
+        raise ConfigError(f"cannot read config file {path}")
+    return parser
+
+
 def _field_types(cls) -> dict:
     """Field name -> type of a dataclass, with ``None`` dropped from each union."""
     out = {}
@@ -122,23 +130,27 @@ def _parse_section(section, schema, where):
         typ = schema[key]
         raw = section[key]
         try:
-            if typ is bool:
-                out[key] = section.getboolean(key)
-            else:
-                out[key] = typ(raw)
+            out[key] = section.getboolean(key) if typ is bool else typ(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value {raw!r} for {where}.{key}") from exc
     return out
 
 
-def load_optimizer_overrides(path) -> dict:
-    """Read the [optimizer] section of an INI file into OptimizerConfig kwargs."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
+def _optimizer_section(parser, seed_from: str) -> dict:
+    """The [optimizer] section as OptimizerConfig kwargs.  ``seed`` is refused:
+    every search seed derives from ``seed_from``, which would silently win."""
     if "optimizer" not in parser:
         return {}
-    return _parse_section(parser["optimizer"], _OPTIMIZER_KEYS, "optimizer")
+    opt = _parse_section(parser["optimizer"], _OPTIMIZER_KEYS, "optimizer")
+    if "seed" in opt:
+        raise ConfigError(f"seed is not allowed in the [optimizer] section; the "
+                          f"search seeds derive from {seed_from}")
+    return opt
+
+
+def load_optimizer_overrides(path) -> dict:
+    """Read the [optimizer] section of an INI file into OptimizerConfig kwargs."""
+    return _optimizer_section(_read_ini(path), "the master seed; set it with --seed")
 
 
 def optimizer_config_from(overrides: dict) -> OptimizerConfig:
@@ -149,14 +161,19 @@ def optimizer_config_from(overrides: dict) -> OptimizerConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _list_of(item):
+    """Schema type: a comma-separated list of ``item`` values, as a tuple."""
+    return lambda raw: tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
 _SCENARIO_KEYS = {
     "p": int, "n": int, "replicates": int, "n_starts": int,
     "master_seed": int, "distribution": str, "df": float,
-    "losses": str, "threshold": str,
+    "losses": _list_of(str), "threshold": str,
 }
 _STRUCTURE_KEYS = {
     "kind": str, "sparsity": float, "value_low": float, "value_high": float,
-    "block_fractions": str, "block_decays": str,
+    "block_fractions": _list_of(float), "block_decays": _list_of(float),
 }
 _CONTAMINATION_KEYS = {
     "kind": str, "fraction": float,
@@ -164,20 +181,24 @@ _CONTAMINATION_KEYS = {
 }
 
 
-def _float_list(raw: str, where: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad list {raw!r} for {where}") from exc
+def _fold_range(kwargs: dict, cls, name: str, prefix: str) -> None:
+    """Fold the keys ``<prefix>_low``/``<prefix>_high`` into the tuple field
+    ``name`` of ``cls``; an unset bound keeps the field's default."""
+    keys = (f"{prefix}_low", f"{prefix}_high")
+    if any(key in kwargs for key in keys):
+        default = next(f.default for f in fields(cls) if f.name == name)
+        kwargs[name] = tuple(kwargs.pop(key, bound) for key, bound in zip(keys, default))
 
 
 def load_scenario_config(path) -> ScenarioSpec:
-    """Build a ScenarioSpec from an INI file; unknown keys or values fail."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    known = {"scenario", "structure", "contamination", "optimizer"}
-    unknown = set(parser.sections()) - known
+    """Build a ScenarioSpec from an INI file; unknown keys or values fail.
+
+    Only the keys the file sets are passed on, so every other field keeps the
+    default of its dataclass.  The losses default to every loss kind, each
+    under the ``threshold`` policy (``iqr`` by default).
+    """
+    parser = _read_ini(path)
+    unknown = set(parser.sections()) - {"scenario", "structure", "contamination", "optimizer"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if "scenario" not in parser or "structure" not in parser:
@@ -187,60 +208,23 @@ def load_scenario_config(path) -> ScenarioSpec:
     st = _parse_section(parser["structure"], _STRUCTURE_KEYS, "structure")
     co = (_parse_section(parser["contamination"], _CONTAMINATION_KEYS, "contamination")
           if "contamination" in parser else {})
-    opt = (_parse_section(parser["optimizer"], _OPTIMIZER_KEYS, "optimizer")
-           if "optimizer" in parser else {})
-
-    if "seed" in opt:
-        raise ConfigError(
-            "seed is not allowed in a scenario's [optimizer] section; the search "
-            "seeds derive from [scenario] master_seed"
-        )
+    opt = _optimizer_section(parser, "[scenario] master_seed")
     if "kind" not in st:
         raise ConfigError("structure section needs a 'kind'")
     if "p" not in sc or "n" not in sc:
         raise ConfigError("scenario section needs 'p' and 'n'")
 
-    st_kwargs = {"kind": st["kind"], "p": sc["p"]}
-    if "sparsity" in st:
-        st_kwargs["sparsity"] = st["sparsity"]
-    if "value_low" in st or "value_high" in st:
-        st_kwargs["value_range"] = (st.get("value_low", 0.1), st.get("value_high", 0.3))
-    if "block_fractions" in st:
-        st_kwargs["block_fractions"] = _float_list(st["block_fractions"], "structure.block_fractions")
-    if "block_decays" in st:
-        st_kwargs["block_decays"] = _float_list(st["block_decays"], "structure.block_decays")
-
-    co_kwargs = {}
-    if co:
-        co_kwargs["kind"] = co.get("kind", "none")
-        if "fraction" in co:
-            co_kwargs["fraction"] = co["fraction"]
-        if "entry_fraction_low" in co or "entry_fraction_high" in co:
-            co_kwargs["entry_fraction"] = (
-                co.get("entry_fraction_low", 0.3), co.get("entry_fraction_high", 0.7)
-            )
-        if "shift" in co:
-            co_kwargs["shift"] = co["shift"]
-
-    threshold = sc.get("threshold", "iqr")
-    losses_raw = sc.get("losses", "gaussian,huber,truncated,tukey")
-    losses = tuple(
-        make_loss_spec(tok.strip(), threshold)
-        for tok in losses_raw.split(",") if tok.strip()
-    )
-
+    _fold_range(st, StructureSpec, "value_range", "value")
+    _fold_range(co, ContaminationSpec, "entry_fraction", "entry_fraction")
+    threshold = sc.pop("threshold", "iqr")
+    losses = tuple(make_loss_spec(kind, threshold) for kind in sc.pop("losses", LOSS_KINDS))
     try:
         return ScenarioSpec(
-            structure=StructureSpec(**st_kwargs),
-            n=sc["n"],
-            distribution=sc.get("distribution", "gaussian"),
-            df=sc.get("df", 3.0),
-            contamination=ContaminationSpec(**co_kwargs) if co_kwargs else ContaminationSpec(),
+            structure=StructureSpec(p=sc.pop("p"), **st),
+            contamination=ContaminationSpec(**co),
             losses=losses,
-            replicates=sc.get("replicates", 10),
-            n_starts=sc.get("n_starts", 10),
-            master_seed=sc.get("master_seed", 0),
             optimizer=optimizer_config_from(opt),
+            **sc,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -37,8 +37,8 @@ from .artifacts import (
 from .benchmarks import BENCHMARKS, BenchmarkSpec, benchmark_box_domain, corr_objective
 from .errors import ConfigError, GlasdError, MalformedDataError
 from .estimate import estimate_correlation
-from .losses import outlier_report, read_data_csv, standardize_columns
-from .manifold import MatrixObjective, angle_dim, default_angle_box, minimize_over_corr
+from .losses import LOSS_KINDS, outlier_report, read_data_csv, standardize_columns
+from .manifold import MatrixObjective, angle_dim, angles_to_corr, default_angle_box
 from .optimizer import (
     OptimizerConfig,
     RunRecord,
@@ -76,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("-v", "--verbose", action="count", default=0)
         if with_loss:
-            p.add_argument("--loss", default="gaussian",
-                           choices=["gaussian", "huber", "truncated", "tukey"])
+            p.add_argument("--loss", default="gaussian", choices=LOSS_KINDS)
             p.add_argument("--threshold", default="iqr",
                            help="'iqr' (per-evaluation Q3+3*IQR cutoff), "
                                 "'iqr-pilot' (frozen under a pilot), or a "
@@ -126,10 +125,6 @@ def _optimizer_config(args) -> OptimizerConfig:
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_optimizer_overrides(args.config))
-        if "seed" in overrides:
-            raise ConfigError(
-                f"{args.config}: seed is not allowed in the [optimizer] section; "
-                "the search seeds derive from the master seed, set it with --seed")
     if getattr(args, "max_iters", None) is not None:
         overrides["max_iters"] = args.max_iters
     if getattr(args, "stagnation_window", None) is not None:
@@ -155,19 +150,11 @@ def _problem(spec: BenchmarkSpec):
 
 
 def _run_benchmark(spec, config, n_starts, master_seed):
-    """One multi-start benchmark run; returns (records, best_matrix_or_None, secs)."""
+    """One multi-start benchmark run; returns (records, secs)."""
     t0 = time.perf_counter()
-    if spec.variant == "corr-manifold":
-        best_C, records = minimize_over_corr(
-            corr_objective(spec), spec.dim, config=config,
-            n_starts=n_starts, master_seed=master_seed,
-        )
-    else:
-        records = multi_start_minimize(
-            *_problem(spec), config=config, n_starts=n_starts, master_seed=master_seed,
-        )
-        best_C = None
-    return records, best_C, time.perf_counter() - t0
+    records = multi_start_minimize(*_problem(spec), config=config, n_starts=n_starts,
+                                   master_seed=master_seed)
+    return records, time.perf_counter() - t0
 
 
 def _start_record(r: RunRecord) -> dict:
@@ -190,7 +177,7 @@ def cmd_optimize(args) -> int:
     spec = _benchmark_spec(args.fn, args.variant, size)
     out = ensure_outdir(args.out, "result.json", args.force)
 
-    records, best_C, elapsed = _run_benchmark(spec, config, args.starts, master_seed)
+    records, elapsed = _run_benchmark(spec, config, args.starts, master_seed)
     f_bests = np.array([r.f_best for r in records])
     dim = angle_dim(size) if args.variant == "corr" else size
     record = {
@@ -211,10 +198,10 @@ def cmd_optimize(args) -> int:
     write_json(f"{out}/result.json", record)
     for k, rec in enumerate(records):
         write_trace_csv(f"{out}/trace_{k:02d}.csv", rec.trace)
-    if best_C is not None:
-        names = [f"x{j + 1}" for j in range(size)]
-        write_matrix_csv(f"{out}/best_matrix.csv", best_C, names)
+    if args.variant == "corr":
         best = min(records, key=lambda r: r.f_best)
+        names = [f"x{j + 1}" for j in range(size)]
+        write_matrix_csv(f"{out}/best_matrix.csv", angles_to_corr(best.x_best), names)
         write_angles_csv(f"{out}/best_angles.csv", best.x_best)
     print(f"{args.fn} ({args.variant}, size {size}): min {f_bests.min():.4g}, "
           f"s.e. {_standard_error(f_bests):.4g} over {args.starts} starts")
@@ -234,7 +221,7 @@ def cmd_benchmark(args) -> int:
     fn_seeds = derive_seeds(master_seed, len(names))
     for k, (name, spec) in enumerate(zip(names, specs)):
         fn_seed = fn_seeds[k]
-        records, _, elapsed = _run_benchmark(spec, config, args.starts, fn_seed)
+        records, elapsed = _run_benchmark(spec, config, args.starts, fn_seed)
         f_bests = np.array([r.f_best for r in records])
         rows.append((name, "glasd", float(f_bests.min()), _standard_error(f_bests),
                      elapsed / args.starts))

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotPositiveDefiniteError
 from .losses import AngleObjective, LossSpec, pilot_correlation, resolved_spec
-from .manifold import angles_to_corr, corr_to_angles, default_angle_box
+from .manifold import angles_to_corr, check_correlation, corr_to_angles, default_angle_box
 from .optimizer import OptimizerConfig, RunRecord, _resolve_seed, multi_start_minimize
 
 
@@ -47,6 +48,10 @@ def estimate_correlation(
     the d^2-scale cutoff in force at the returned solution (for the
     per-evaluation 'iqr-auto' policy that is the cutoff under the fitted
     matrix; fixed and pilot-frozen thresholds report their constant).
+
+    The returned matrix passes :func:`check_correlation`, else this raises
+    NotPositiveDefiniteError: a frozen truncated or biweight cutoff leaves the
+    objective unbounded below toward singular matrices.
     """
     X_std = np.asarray(X_std, dtype=float)
     p = X_std.shape[1]
@@ -61,6 +66,14 @@ def estimate_correlation(
         master_seed=master_seed, x0_first=warm,
     )
     best = min(records, key=lambda r: r.f_best)
-    return EstimateResult(corr=angles_to_corr(best.x_best), f_best=best.f_best,
+    corr = angles_to_corr(best.x_best)
+    try:
+        check_correlation(corr)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(
+            f"the {spec.kind} fit ended at a matrix that is not positive definite; "
+            "a frozen cutoff leaves the objective unbounded below toward singular "
+            "matrices") from exc
+    return EstimateResult(corr=corr, f_best=best.f_best,
                           threshold=objective.threshold_at(best.x_best),
                           records=records, seed=master_seed)

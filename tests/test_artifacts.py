@@ -1,4 +1,6 @@
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from glasd.artifacts import (
 )
 from glasd.errors import ConfigError
 from glasd.optimizer import OptimizerConfig
+from glasd.simulate import STRUCTURE_KINDS, ScenarioSpec, StructureSpec
 
 
 class TestMatrixCsv:
@@ -109,6 +112,44 @@ class TestScenarioConfig:
         path.write_text(SCENARIO_INI.replace("max_iters = 300", "max_iters = 300\nseed = 99"))
         with pytest.raises(ConfigError, match="master_seed"):
             load_scenario_config(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        # the README's scenario block, with its inline "; ..." comments
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "s.ini"
+        path.write_text(block)
+        spec = load_scenario_config(path)
+        assert spec.structure.kind == "sparse-uniform"
+        assert spec.losses[1].threshold == "iqr-auto"
+        assert spec.optimizer.max_iters == 2000
+
+    MINIMAL = "[scenario]\np = 6\nn = 30\n[structure]\nkind = {kind}\n"
+
+    @pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+    def test_minimal_file_takes_every_default(self, tmp_path, kind):
+        path = tmp_path / "s.ini"
+        path.write_text(self.MINIMAL.format(kind=kind))
+        assert load_scenario_config(path) == ScenarioSpec(StructureSpec(kind, p=6), n=30)
+
+    @pytest.mark.parametrize("section, key, value, name, index", [
+        ("structure", "value_low", 0.05, "value_range", 0),
+        ("structure", "value_high", 0.5, "value_range", 1),
+        ("contamination", "entry_fraction_low", 0.1, "entry_fraction", 0),
+        ("contamination", "entry_fraction_high", 0.9, "entry_fraction", 1),
+    ])
+    def test_one_bound_keeps_the_other_default(self, tmp_path, section, key, value,
+                                               name, index):
+        text = self.MINIMAL.format(kind="sparse-uniform")
+        if section == "contamination":
+            text += "[contamination]\n"
+        path = tmp_path / "s.ini"
+        path.write_text(text + f"{key} = {value}\n")
+        default = getattr(ScenarioSpec(StructureSpec("sparse-uniform", p=6), n=30), section)
+        bounds = list(getattr(default, name))
+        bounds[index] = value
+        expected = replace(default, **{name: tuple(bounds)})
+        assert getattr(load_scenario_config(path), section) == expected
 
 
 class TestOptimizerOverrides:

@@ -39,7 +39,10 @@ class TestOptimizeCommand:
         assert "min_value" in record and record["min_value"] >= 0
         assert record["master_seed"] == 7
         assert len(record["start_seeds"]) == 3
-        assert (out / "best_matrix.csv").exists()
+        # the matrix is the one of the best start's angles, bit for bit
+        C, _ = read_matrix_csv(out / "best_matrix.csv")
+        angles = [float(v) for v in (out / "best_angles.csv").read_text().split(",")]
+        assert np.array_equal(C, angles_to_corr(np.array(angles)))
         for start in record["per_start"]:
             # move counters: greedy proposals are iterations - explore
             assert 0 <= start["explore_accepts"] <= start["explore"] <= start["iterations"]
@@ -147,6 +150,20 @@ class TestEstimateCommand:
         assert main(["estimate", str(data), "--loss", loss, "--threshold", threshold,
                      "--seed", "1", "--max-iters", "20", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_singular_fit_exit_1_without_matrix(self, tmp_path, capsys):
+        # t(3) rows, six of them shifted: under a frozen truncated cutoff the
+        # fit walks to a singular corner of the angle box
+        X = sample_data(np.eye(5), 80, "t", np.random.default_rng(1))
+        X[:6] += 10.0
+        data = tmp_path / "d.csv"
+        data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in X))
+        out = tmp_path / "run"
+        assert main(["estimate", str(data), "--loss", "truncated", "--threshold", "6.5",
+                     "--starts", "3", "--seed", "3", "--max-iters", "1500",
+                     "--out", str(out)]) == 1
+        assert "truncated" in capsys.readouterr().err
+        assert not (out / "corr.csv").exists()
 
     def test_duplicated_column_fully_correlated(self, tmp_path):
         rng = np.random.default_rng(4)

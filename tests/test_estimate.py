@@ -3,6 +3,7 @@ import pytest
 
 import glasd.estimate
 import glasd.losses
+from glasd.errors import NotPositiveDefiniteError
 from glasd.estimate import estimate_correlation
 from glasd.losses import (
     LossSpec,
@@ -88,6 +89,16 @@ class TestEstimateCorrelation:
                                    n_starts=1, master_seed=5)
         assert len(calls) == 1
         assert fit.threshold == expected
+
+    def test_singular_fit_raises(self):
+        # t(3) rows, six of them shifted: under a frozen truncated cutoff the
+        # search walks to a singular corner of the angle box
+        X = sample_data(np.eye(5), 80, "t", np.random.default_rng(1))
+        X[:6] += 10.0
+        with pytest.raises(NotPositiveDefiniteError, match="truncated.*frozen cutoff"):
+            estimate_correlation(standardize_columns(X), LossSpec("truncated", 6.5),
+                                 config=OptimizerConfig(max_iters=1500),
+                                 n_starts=3, master_seed=3)
 
     def test_deterministic(self):
         _, Xs = make_clean_data(n=200, seed=3)
