@@ -89,8 +89,11 @@ def write_json(path, record: dict) -> None:
 
 
 def ensure_outdir(out, record_name: str, force: bool) -> str:
-    """Create the output directory; refuse to clobber an existing run record."""
-    os.makedirs(out, exist_ok=True)
+    """Refuse to clobber an existing run record; return ``out``.
+
+    Creates nothing: a command checks before its work and creates the
+    directory only once it has results to write, so a failed run leaves none.
+    """
     record_path = os.path.join(out, record_name)
     if os.path.exists(record_path) and not force:
         raise ConfigError(

@@ -13,6 +13,7 @@ arguments, malformed input files, or invalid configuration.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import traceback
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_loss=False):
-        p.add_argument("--seed", type=int, default=None, help="master seed")
+        p.add_argument("--seed", type=_at_least(0), default=None, help="master seed")
         p.add_argument("--starts", type=_at_least(1), default=10, help="independent restarts")
         p.add_argument("--out", default="glasd_out", help="output directory")
         p.add_argument("--force", action="store_true", help="overwrite an existing run record")
@@ -107,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one contamination scenario")
     p_sim.add_argument("scenario", help="INI scenario config")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p_sim.add_argument("--seed", type=_at_least(0), default=None,
+                       help="override the master seed")
     p_sim.add_argument("--out", default="glasd_out")
     p_sim.add_argument("--force", action="store_true")
     p_sim.add_argument("-v", "--verbose", action="count", default=0)
@@ -195,6 +197,7 @@ def cmd_optimize(args) -> int:
         "optimizer_config": asdict(config),
         "optimizer_config_resolved": _resolved_record(config, dim),
     }
+    os.makedirs(out, exist_ok=True)
     write_json(f"{out}/result.json", record)
     for k, rec in enumerate(records):
         write_trace_csv(f"{out}/trace_{k:02d}.csv", rec.trace)
@@ -240,6 +243,7 @@ def cmd_benchmark(args) -> int:
             detail.append({"benchmark": name, "solver": "random-search",
                            "seed": fn_seed + 1, "values": base_vals.tolist()})
 
+    os.makedirs(out, exist_ok=True)
     with open(f"{out}/summary.csv", "w", encoding="utf-8") as fh:
         fh.write("benchmark,solver,min_value,se_of_values,mean_runtime_s\n")
         for name, solver, mn, se, rt in rows:
@@ -268,6 +272,7 @@ def cmd_estimate(args) -> int:
     elapsed = time.perf_counter() - t0
 
     names = data.names()
+    os.makedirs(out, exist_ok=True)
     write_matrix_csv(f"{out}/corr.csv", fit.corr, names)
     write_heatmap_csv(f"{out}/heatmap.csv", fit.corr, names)
     write_json(f"{out}/run.json", {
@@ -299,6 +304,7 @@ def cmd_simulate(args) -> int:
 
     result = run_scenario(spec)
     agg = result.aggregate()
+    os.makedirs(out, exist_ok=True)
     with open(f"{out}/rmse_table.csv", "w", encoding="utf-8") as fh:
         fh.write("loss,mean_rmse,se,mean_runtime\n")
         for ls in spec.losses:
@@ -328,6 +334,7 @@ def cmd_outlier_report(args) -> int:
     data = read_data_csv(args.data)
     out = ensure_outdir(args.out, "run.json", args.force)
     counts = outlier_report(data)
+    os.makedirs(out, exist_ok=True)
     with open(f"{out}/outliers.csv", "w", encoding="utf-8") as fh:
         fh.write("column,count\n")
         for name, cnt in counts:

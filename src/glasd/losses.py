@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDataError, DomainMismatchError, MalformedDataError
-from .manifold import OneAngleObjective, _cholesky, cholesky_rows
+from .manifold import OneAngleObjective, _cholesky, _tidy_corr, cholesky_rows
 
 LOSS_KINDS = ("gaussian", "huber", "truncated", "tukey")
 THRESHOLD_POLICIES = ("iqr-auto", "iqr-pilot")
@@ -414,10 +414,7 @@ def iqr_threshold(values, multiplier: float = 3.0) -> float:
 def sample_correlation(X) -> np.ndarray:
     """Classical sample correlation matrix; errors on zero-variance columns."""
     Z = standardize_columns(X)
-    S = (Z.T @ Z) / (Z.shape[0] - 1)
-    S = (S + S.T) * 0.5
-    np.fill_diagonal(S, 1.0)
-    return np.clip(S, -1.0, 1.0)
+    return _tidy_corr((Z.T @ Z) / (Z.shape[0] - 1))
 
 
 def standardize_columns(X) -> np.ndarray:
@@ -435,7 +432,10 @@ def shrink_to_pd(S: np.ndarray, eig_floor: float = 1e-3) -> np.ndarray:
 
     The shrunk minimum eigenvalue is (mu_min + lam)/(1 + lam), monotone in
     lam, so the minimal lam has the closed form (floor - mu_min)/(1 - floor).
-    Unit diagonals are preserved exactly.
+    A shrunk matrix is tidied as every correlation matrix of the package is:
+    stored exactly symmetric, with an exact unit diagonal and entries clipped
+    to [-1, 1].  The clip changes an entry only when S has entries beyond
+    [-1, 1]; a correlation matrix has none.
     """
     S = np.asarray(S, dtype=float)
     if not 0 < eig_floor < 1:
@@ -444,10 +444,7 @@ def shrink_to_pd(S: np.ndarray, eig_floor: float = 1e-3) -> np.ndarray:
     lam = max(0.0, (eig_floor - mu_min) / (1.0 - eig_floor))
     if lam == 0.0:
         return S.copy()
-    out = (S + lam * np.eye(S.shape[0])) / (1.0 + lam)
-    out = (out + out.T) * 0.5
-    np.fill_diagonal(out, 1.0)
-    return out
+    return _tidy_corr((S + lam * np.eye(S.shape[0])) / (1.0 + lam))
 
 
 def pilot_correlation(X, eig_floor: float = 1e-3) -> np.ndarray:

@@ -17,7 +17,10 @@ row of ``L`` lives on a half sphere and is encoded by spherical angles:
 Stacking the per-row angle blocks gives a vector of ``M(M-1)/2`` angles whose
 compact box is a valid search domain for the box optimizer: every point of the
 box maps to a valid correlation matrix, and every full-rank correlation matrix
-maps back to a unique interior angle vector.
+maps back to a unique interior angle vector.  Row m's block starts at angle
+``(m-1)(m-2)/2`` (:func:`_row_slice`); :func:`factor_row` builds row m from
+it, and :func:`cholesky_rows` stacks those rows.  Every correlation matrix
+the package derives is tidied by one rule (:func:`_tidy_corr`).
 
 The search moves one angle per proposal, and one angle of row m changes
 only row m of the factor.  :class:`OneAngleObjective`, the base of the
@@ -31,7 +34,6 @@ O(M^2) per one-angle move, by rewriting one row and column of the cached matrix.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,49 +82,23 @@ def default_angle_box(M: int) -> BoxDomain:
     return BoxDomain(np.array(lo), np.array(hi))
 
 
-@lru_cache(maxsize=64)
-def _angle_layout(M: int):
-    """Index maps turning the flat angle vector into the triangular factor.
-
-    Angles of row m (m = 2..M) occupy positions 0..m-2 of padded-grid row
-    m-2, which is the row-major order of ``np.tril_indices(M - 1)``.  Entry k
-    of that block lands in the factor at (m-1, m-1-k) with value (product of
-    the first k sines) * cos(angle k); column 0 takes the full sine product.
-    """
-    pad_row, pad_col = np.tril_indices(M - 1)
-    return pad_row, pad_col, pad_row + 1, pad_row + 1 - pad_col, np.arange(M - 1)
-
-
 def cholesky_rows(angles: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor with unit-norm rows built from the angle vector."""
+    """Lower-triangular factor with unit-norm rows: ``e_1``, then each row's :func:`factor_row`."""
     angles = np.asarray(angles, dtype=float)
     M = matrix_dim(angles.shape[0])
-    pad_row, pad_col, tgt_row, tgt_col, idx = _angle_layout(M)
-
-    sines = np.ones((M - 1, M - 1))
-    sines[pad_row, pad_col] = np.sin(angles)
-    cosines = np.zeros((M - 1, M - 1))
-    cosines[pad_row, pad_col] = np.cos(angles)
-
-    full = np.cumprod(sines, axis=1)
-    prefix = np.empty_like(full)           # prefix[r, k] = prod of first k sines
-    prefix[:, 0] = 1.0
-    prefix[:, 1:] = full[:, :-1]
-
     L = np.zeros((M, M))
     L[0, 0] = 1.0
-    entries = prefix * cosines
-    L[tgt_row, tgt_col] = entries[pad_row, pad_col]
-    L[1:, 0] = full[idx, idx]              # full sine product of each row
+    for m in range(2, M + 1):
+        L[m - 1, :m] = factor_row(angles[_row_slice(m)])
     return L
 
 
 def factor_row(row_angles: np.ndarray) -> np.ndarray:
     """Row m of the factor, entries ``L[m, :m]``, from that row's ``m - 1`` angles.
 
-    Costs O(m).  It repeats the arithmetic of :func:`cholesky_rows` (same
-    sines, same running products, same order), so the entries agree with the
-    corresponding row of the full factor.
+    Costs O(m) and follows the module docstring's formula.  It is the one
+    construction of a row: :func:`cholesky_rows` stacks these rows, so a row
+    rebuilt alone after a one-angle move equals that row of the full factor.
     """
     w = np.asarray(row_angles, dtype=float)
     c = np.cos(w)
@@ -140,12 +116,12 @@ def angles_to_corr(angles: np.ndarray) -> np.ndarray:
     The output is stored exactly symmetric with an exact unit diagonal and all
     entries clipped into [-1, 1].
     """
-    return _corr_from_factor(cholesky_rows(angles))
+    L = cholesky_rows(angles)
+    return _tidy_corr(L @ L.T)
 
 
-def _corr_from_factor(L: np.ndarray) -> np.ndarray:
-    """C = L L^T, symmetrized, with unit diagonal and entries clipped to [-1, 1]."""
-    C = L @ L.T
+def _tidy_corr(C: np.ndarray) -> np.ndarray:
+    """A fresh copy of C, symmetrized, with unit diagonal and entries clipped to [-1, 1]."""
     C = (C + C.T) * 0.5
     np.fill_diagonal(C, 1.0)
     np.clip(C, -1.0, 1.0, out=C)
@@ -225,8 +201,8 @@ class OneAngleObjective:
 
     def __init__(self, M: int):
         self._dim = angle_dim(M)
-        # angle -> (its factor row r, the first angle of row r)
-        self._rows = [(r, r * (r - 1) // 2) for r in range(1, M) for _ in range(r)]
+        # angle -> (its factor row r, the block of row r's angles)
+        self._rows = [(r, _row_slice(r + 1)) for r in range(1, M) for _ in range(r)]
         self._L = np.empty((M, M))
         self._angles, self._value = [], math.nan   # the base point and its value
         self._stale = None                # angle in which the base and current point differ
@@ -254,8 +230,8 @@ class OneAngleObjective:
         v = angles.item(i)
         if v == self._angles[i]:
             return self._value
-        r, off = self._rows[i]
-        row = factor_row(angles[off:off + r])
+        r, block = self._rows[i]
+        row = factor_row(angles[block])
         moved = self._move(r, row)
         if moved is None:
             value = self(angles)
@@ -309,7 +285,7 @@ class MatrixObjective(OneAngleObjective):
         self._C = None                    # C of the base point
 
     def _rebase(self, L: np.ndarray) -> float:
-        self._C = _corr_from_factor(L)
+        self._C = _tidy_corr(L @ L.T)
         return self._evaluate(self._C.copy())
 
     def _move(self, r: int, row: np.ndarray):

@@ -142,6 +142,8 @@ class ScenarioSpec:
             raise ValueError("replicates and n_starts must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         kinds = [ls.kind for ls in self.losses]
         if len(set(kinds)) != len(kinds):
             raise ValueError("loss kinds must be unique within a scenario")

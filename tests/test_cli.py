@@ -84,13 +84,18 @@ class TestOptimizeCommand:
         # the box Rosenbrock is constant at dimension 1
         ["optimize", "--fn", "rosenbrock", "--variant", "box", "--dim", "1"],
         ["benchmark", "--fn", "rosenbrock", "--variant", "box", "--dim", "1"],
+        ["optimize", "--fn", "ackley", "--seed", "-1"],
+        ["benchmark", "--fn", "ackley", "--seed", "-1"],
+        ["estimate", "DATA", "--seed", "-1"],
     ])
     def test_bad_sizes_exit_2_before_output(self, tmp_path, argv):
         data = tmp_path / "d.csv"
         write_clean_csv(data, n=50)
         out = tmp_path / "run"
         argv = [str(data) if a == "DATA" else a for a in argv]
-        assert main(argv + ["--seed", "1", "--max-iters", "20", "--out", str(out)]) == 2
+        # the case's own flags come last, so its --seed overrides the default one
+        defaults = ["--seed", "1", "--max-iters", "20", "--out", str(out)]
+        assert main(argv[:1] + defaults + argv[1:]) == 2
         assert not out.exists()
 
     def test_resolved_config_record(self, tmp_path):
@@ -163,7 +168,7 @@ class TestEstimateCommand:
                      "--starts", "3", "--seed", "3", "--max-iters", "1500",
                      "--out", str(out)]) == 1
         assert "truncated" in capsys.readouterr().err
-        assert not (out / "corr.csv").exists()
+        assert not out.exists()
 
     def test_duplicated_column_fully_correlated(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -328,6 +333,14 @@ class TestSimulateCommand:
         cfg.write_text(SCENARIO_INI.replace("n = 60", "n = 60\ndistribution = t\ndf = nan"))
         out = tmp_path / "r"
         assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ini_seed, flags", [(-1, []), (5, ["--seed", "-3"])])
+    def test_negative_seed_exit_2_before_output(self, tmp_path, ini_seed, flags):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SCENARIO_INI.replace("master_seed = 5", f"master_seed = {ini_seed}"))
+        out = tmp_path / "r"
+        assert main(["simulate", str(cfg), "--out", str(out)] + flags) == 2
         assert not out.exists()
 
     def test_deterministic_outputs(self, tmp_path):

@@ -116,6 +116,30 @@ class TestForwardMap:
                     off = r * (r - 1) // 2
                     assert np.array_equal(factor_row(a[off:off + r]), L[r, :r + 1])
 
+    def test_factor_matches_scalar_formula(self):
+        # the module docstring's formula, entry by entry in scalar arithmetic
+        def formula(a):
+            M = matrix_dim(len(a))
+            L = np.zeros((M, M))
+            L[0, 0] = 1.0
+            start = 0
+            for m in range(2, M + 1):
+                w = [float(x) for x in a[start:start + m - 1]]
+                start += m - 1
+                for k in range(m - 1):
+                    L[m - 1, m - 1 - k] = math.prod(map(math.sin, w[:k])) * math.cos(w[k])
+                L[m - 1, 0] = math.prod(map(math.sin, w))
+            return L
+
+        rng = np.random.default_rng(5)
+        for M in range(2, 9):
+            box = default_angle_box(M)
+            points = [rng.uniform(box.lower, box.upper) for _ in range(20)]
+            points += [np.where(rng.random(box.dim) < 0.5, box.lower, box.upper)
+                       for _ in range(20)]
+            for a in points:
+                assert np.abs(cholesky_rows(a) - formula(a)).max() <= 1e-15
+
     def test_fuzzed_outputs_are_correlations(self):
         rng = np.random.default_rng(1)
         for M in range(2, 21):
