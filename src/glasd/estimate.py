@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .losses import AngleObjective, LossSpec, pilot_correlation, resolved_spec
+from .losses import AngleObjective, LossSpec, _values, pilot_correlation, resolved_spec
 from .manifold import angles_to_corr, check_correlation, corr_to_angles, default_angle_box
 from .optimizer import OptimizerConfig, RunRecord, _resolve_seed, multi_start_minimize
 
@@ -53,7 +53,7 @@ def estimate_correlation(
     NotPositiveDefiniteError: a frozen truncated or biweight cutoff leaves the
     objective unbounded below toward singular matrices.
     """
-    X_std = np.asarray(X_std, dtype=float)
+    X_std = _values(X_std)
     p = X_std.shape[1]
     pilot = pilot_correlation(X_std, spec.pilot_shrinkage_floor)
     spec = resolved_spec(X_std, spec, pilot)

@@ -28,13 +28,17 @@ Both policies, and the reported threshold, use one quartile rule
 
 The search evaluates the objective as a function of the angle vector through
 :class:`AngleObjective`.  Each search proposal moves one angle, which changes
-one row of the factor, so a proposal costs O(p(n + p)): the row is rebuilt
-alone, and the whitened data ``L^{-1} X^T`` changes in that row plus a
-rank-one term in the rows below it.  The objective also whitens the identity;
-the cached whitened identity ``L^{-1}`` supplies the rank-one term's tail
-vector as a column read.  A full evaluation (factor build plus an n p^2 forward
-substitution) runs at a start, and at a proposal the growth guard refuses.
-:func:`loss_robust` is the single reference evaluation.
+one row of the factor, so the whitened data ``L^{-1} X^T`` changes in that row
+plus a rank-one term in the rows below it.  The objective also whitens the
+identity; the cached whitened identity ``L^{-1}`` supplies the rank-one term's
+tail vector as a column read.  A proposal costs one O(p(n + p)) pass: its
+squared distances follow from the current point's squared column norms, the
+new row and the rank-one term, and nothing cached changes.  Accepting it
+applies the rank-one update in place and sums the column norms afresh.  A
+full evaluation (factor build plus an n p^2 forward substitution) runs at a
+start; a proposal the growth guard refuses is scored by a fresh solve, and
+accepting it rebases on the full solve.  :func:`loss_robust` is the single
+reference evaluation.
 """
 
 from __future__ import annotations
@@ -65,15 +69,11 @@ class DataMatrix:
     column_names: list[str] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _values(self.values)
         object.__setattr__(self, "values", v)
-        if v.ndim != 2:
-            raise MalformedDataError("data must be two-dimensional")
         n, p = v.shape
         if n < 2 or p < 2:
             raise MalformedDataError("need at least 2 rows and 2 columns")
-        if not np.isfinite(v).all():
-            raise MalformedDataError("data contains NaN or infinite entries")
         if self.column_names is not None and len(self.column_names) != p:
             raise MalformedDataError("column_names length does not match data width")
 
@@ -127,9 +127,15 @@ class LossSpec:
 
 
 def _values(X) -> np.ndarray:
+    """The data array of X; MalformedDataError unless it is 2-D and finite."""
     if isinstance(X, DataMatrix):
         return X.values
-    return np.asarray(X, dtype=float)
+    V = np.asarray(X, dtype=float)
+    if V.ndim != 2:
+        raise MalformedDataError("data must be two-dimensional")
+    if not np.isfinite(V).all():
+        raise MalformedDataError("data contains NaN or infinite entries")
+    return V
 
 
 def mahalanobis_sq_all(X, C) -> np.ndarray:
@@ -239,8 +245,7 @@ def _loss_value(n: int, logdet: float, d2: np.ndarray, kind: str, thr) -> float:
 def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Y = L^{-1} B for lower-triangular L, by forward substitution.
 
-    Row i is ``(B[i] - L[i, :i] @ Y[:i]) / L[i, i]``, the arithmetic of the
-    one-angle update in :class:`AngleObjective`.
+    Row i is ``(B[i] - L[i, :i] @ Y[:i]) / L[i, i]``.
     """
     Y = np.empty(B.shape)
     for i in range(L.shape[0]):
@@ -303,27 +308,33 @@ class AngleObjective(OneAngleObjective):
     to rounding; ``spec`` must not hold an unresolved 'iqr-pilot'.  For the
     base point this objective caches, besides L, ``Y = L^{-1} [X^T | I_p]``
     (one row per variable; n data columns, then the p columns of
-    ``W = L^{-1}``) and the per-column prefix sums of the squared rows of Y.
-    A point one angle away from the base, in factor row r, costs O(p(n + p))
-    instead of O(p^2 n):
+    ``W = L^{-1}``), the log diagonal of L and ``sq``, the column sums of
+    ``Y**2``.  A point one angle away from the base, in factor row r, costs
+    O(p(n + p)) in one pass that writes nothing:
 
     * row r alone is rebuilt from its angles (:func:`factor_row`);
-    * ``y'_r = (b_r - L'[r,:r] Y[:r]) / L'[r,r]``, with ``b_r`` row r of
-      ``[X^T | I_p]``; rows above r keep their Y;
-    * the rows below move by a rank-one term, ``Y[r+1:] - z (y'_r - y_r)^T``,
+    * row r of Y moves by ``delta = y_r - y'_r = (L'[r,:r+1] Y[:r+1] - b_r)
+      / L'[r,r]``, with ``b_r`` row r of ``[X^T | I_p]``; rows above r keep
+      their Y;
+    * the rows below move by a rank-one term, ``Y[r+1:] + z delta^T``,
       where ``z = L[r+1:,r+1:]^{-1} L[r+1:,r] = -W[r+1:,r] L[r,r]`` is a
-      column of the cached whitened identity;
-    * ``d^2 = prefix[r-1] + y'_r^2 +`` column sums of the squared new tail,
-      and log det swaps one diagonal entry.
+      column of the cached whitened identity.  So with ``u = [-1, z]``,
+      ``Y'[r:] = Y[r:] + u delta^T``;
+    * the moved point's distances are the column sums of ``Y'**2``,
+      ``d'^2 = sq + delta * (2 u^T Y[r:] + (u.u) delta)``, and log det
+      swaps one diagonal entry.
 
-    The loss and the 'iqr-auto' cutoff read only the n data columns of
-    ``d^2``.  The full path is :func:`cholesky_rows` plus one forward
-    substitution (:func:`_forward`).  Per column, data and identity alike, the
-    objective also keeps the largest squared norm of the base points since
-    the last full solve.  A one-angle result whose squared norm lies more
-    than ``GROWTH_LIMIT`` below that (say after leaving a near-singular point)
-    would carry the cancellation error of the large values, so that point
-    takes the full path instead.
+    Accepting the move applies the rank-one update to Y in place and sums
+    ``sq`` afresh from Y, so the rounding of one proposal's ``d'^2`` is never
+    carried into the next.  The loss and the 'iqr-auto' cutoff read only the
+    n data columns of ``d^2``.  The full path is :func:`cholesky_rows` plus
+    one forward substitution (:func:`_forward`).  Per column, data and
+    identity alike, the objective also keeps the largest squared norm of the
+    base points since the last full solve.  A proposal whose squared norm
+    lies more than ``GROWTH_LIMIT`` below that (say after leaving a
+    near-singular point) would carry the cancellation error of the large
+    values, so its distances come from a fresh solve instead, and accepting
+    it rebases by the full solve.
     """
 
     def __init__(self, X, spec: LossSpec):
@@ -335,11 +346,9 @@ class AngleObjective(OneAngleObjective):
         self._kind = spec.kind
         self._thr = _loss_threshold(spec)
         self._Y = np.empty((p, n + p))
-        self._prefix = np.empty((p, n + p))  # prefix[i] = column sums of Y[:i+1]**2
-        self._fresh = 0                      # prefix rows below this are current
+        self._sq = np.empty(n + p)           # column sums of Y**2
         self._logdiag = np.empty(p)
         self._logsum = 0.0
-        self._tail = np.empty((p, n + p))    # Y rows r..p-1 of the last move's point
         self._sq_floor = np.empty(n + p)     # largest base squared norm / GROWTH_LIMIT
 
     def threshold_at(self, angles) -> float | None:
@@ -356,47 +365,42 @@ class AngleObjective(OneAngleObjective):
     def _rebase(self, L: np.ndarray) -> float:
         Y = self._Y
         Y[:] = _forward(L, self._B)
-        self._fresh = 0
         np.log(np.diag(L), out=self._logdiag)
         self._logsum = float(np.sum(self._logdiag))
-        sq = np.einsum("ij,ij->j", Y, Y)
-        np.divide(sq, GROWTH_LIMIT, out=self._sq_floor)
-        return self._loss_at(2.0 * self._logsum, sq)
+        np.einsum("ij,ij->j", Y, Y, out=self._sq)
+        np.divide(self._sq, GROWTH_LIMIT, out=self._sq_floor)
+        return self._loss_at(2.0 * self._logsum, self._sq)
 
     def _move(self, r: int, row: np.ndarray):
-        L, Y, tail = self._L, self._Y, self._tail
-        y = tail[r]
-        np.dot(row[:r], Y[:r], out=y)
-        np.subtract(self._B[r], y, out=y)
-        y /= row[r]
-        sq = self._head_sq(r) + y * y
-        if r + 1 < L.shape[0]:
-            z = Y[r + 1:, self._V.shape[0] + r] * -L[r, r]
-            below = tail[r + 1:]
-            np.dot(z[:, None], (Y[r] - y)[None, :], out=below)
-            below += Y[r + 1:]
-            sq += np.einsum("ij,ij->j", below, below)
-        if (sq < self._sq_floor).any():
-            return None
+        L, Y = self._L, self._Y
+        delta = np.dot(row, Y[:r + 1])       # y_r - y'_r, as the docstring derives
+        delta -= self._B[r]
+        delta /= row[r]
+        u = Y[r:, self._V.shape[0] + r] * -L[r, r]
+        u[0] = -1.0                          # u = [-1, z]
+        sq = u @ Y[r:]
+        sq *= 2.0
+        sq += float(u @ u) * delta
+        sq *= delta
+        sq += self._sq
         logdet = 2.0 * (self._logsum - self._logdiag[r] + math.log(row[r]))
-        return self._loss_at(logdet, sq), sq
+        if (sq < self._sq_floor).any():
+            Lr = L.copy()
+            Lr[r, :r + 1] = row
+            return self._loss_at(logdet, _sq_dist(self._V, Lr)), None
+        return self._loss_at(logdet, sq), (u, delta)
 
-    def _head_sq(self, r: int) -> np.ndarray:
-        """Column sums of Y[:r]**2 for the base, extending stale prefix rows."""
-        P, Y = self._prefix, self._Y
-        for k in range(self._fresh, r):
-            np.multiply(Y[k], Y[k], out=P[k])
-            if k:
-                P[k] += P[k - 1]
-        self._fresh = max(self._fresh, r)
-        return P[r - 1]
-
-    def _accept(self, r: int, row: np.ndarray, sq: np.ndarray) -> None:
-        self._Y[r:] = self._tail[r:]
-        self._fresh = min(self._fresh, r)
+    def _accept(self, r: int, row: np.ndarray, payload) -> None:
+        if payload is None:
+            self._rebase(self._L)
+            return
+        u, delta = payload
+        Y = self._Y
+        Y[r:] += u[:, None] * delta
         self._logdiag[r] = math.log(row[r])
         self._logsum = float(np.sum(self._logdiag))
-        np.maximum(self._sq_floor, sq / GROWTH_LIMIT, out=self._sq_floor)
+        np.einsum("ij,ij->j", Y, Y, out=self._sq)
+        np.maximum(self._sq_floor, self._sq / GROWTH_LIMIT, out=self._sq_floor)
 
 
 def iqr_threshold(values, multiplier: float = 3.0) -> float:

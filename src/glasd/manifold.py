@@ -157,16 +157,16 @@ def corr_to_angles(C: np.ndarray) -> np.ndarray:
         if m == 2:
             w[0] = math.atan2(row[0], row[1])
             continue
-        for k in range(1, m - 1):
-            # norm of entries not yet explained by angles w_1..w_{k-1}
-            rho = math.sqrt(float(np.dot(row[: m - k + 1], row[: m - k + 1])))
-            if rho < DEGENERATE_NORM:
-                break
-            w[k - 1] = math.acos(min(max(row[m - k] / rho, -1.0), 1.0))
-        else:
-            if math.sqrt(float(row[0] ** 2 + row[1] ** 2)) >= DEGENERATE_NORM:
-                last = math.atan2(row[0], row[1])
-                w[m - 2] = last + 2 * math.pi if last < 0.0 else last
+        # rho[k-1] is the norm of the entries row[:m-k+1] not yet explained
+        # by angles w_1..w_{k-1}, k = 1..m-2; it never grows with k, so the
+        # angles set are the first k, up to the first degenerate norm
+        prefix = np.sqrt(np.cumsum(row * row))
+        rho = prefix[m - 1:1:-1]
+        k = int(np.count_nonzero(rho >= DEGENERATE_NORM))
+        w[:k] = np.arccos(np.clip(row[m - 1:m - 1 - k:-1] / rho[:k], -1.0, 1.0))
+        if k == m - 2 and prefix[1] >= DEGENERATE_NORM:
+            last = math.atan2(row[0], row[1])
+            w[m - 2] = last + 2 * math.pi if last < 0.0 else last
     return np.minimum(np.maximum(angles, box.lower), box.upper)
 
 
@@ -190,13 +190,14 @@ class OneAngleObjective:
       :func:`cholesky_rows` plus ``_rebase(L)``, and makes it the base;
     * ``move(angles, i)`` evaluates the current point with angle i, of
       factor row r, moved: row r alone is rebuilt, and ``_move(r, row)``
-      returns ``(value, payload)``, or None to send the point down the full
-      path.  A move that leaves the angle as it is returns the base value;
-    * ``accept()`` makes the point of the last move the base (``_accept``).
+      returns ``(value, payload)`` and changes no cached state.  A move that
+      leaves the angle as it is returns the base value;
+    * ``accept()`` makes the point of the last move the base: row r of L
+      is replaced, and ``_accept(r, row, payload)`` updates what the
+      subclass caches.
 
-    A subclass caches what it derives from ``L``.  After a full path inside
-    ``move`` the base is that proposal; if the search rejects it, the next
-    move in another angle first moves the base back to the current point.
+    A subclass caches what it derives from ``L``.  The base is always the
+    search's current point.
     """
 
     def __init__(self, M: int):
@@ -205,7 +206,6 @@ class OneAngleObjective:
         self._rows = [(r, _row_slice(r + 1)) for r in range(1, M) for _ in range(r)]
         self._L = np.empty((M, M))
         self._angles, self._value = [], math.nan   # the base point and its value
-        self._stale = None                # angle in which the base and current point differ
         self._moved = None                # (angle i, its value, r, row r, value, payload)
 
     def __call__(self, angles) -> float:
@@ -216,29 +216,20 @@ class OneAngleObjective:
                 f"{self._L.shape[0]} matrix, got shape {a.shape}")
         self._L = L = cholesky_rows(a)
         self._value = self._rebase(L)
-        self._angles, self._stale = a.tolist(), None
+        self._angles = a.tolist()
         return self._value
 
     def move(self, angles: np.ndarray, i: int) -> float:
         """The value at ``angles``, the search's current point with angle i moved."""
         self._moved = None
-        if self._stale is not None and self._stale != i:
-            current = angles.copy()       # the base with angle _stale moved
-            current[i] = self._angles[i]
-            self.move(current, self._stale)
-            self.accept()
         v = angles.item(i)
         if v == self._angles[i]:
             return self._value
         r, block = self._rows[i]
         row = factor_row(angles[block])
-        moved = self._move(r, row)
-        if moved is None:
-            value = self(angles)
-            self._stale = i
-            return value
-        self._moved = (i, v, r, row) + moved
-        return moved[0]
+        value, payload = self._move(r, row)
+        self._moved = (i, v, r, row, value, payload)
+        return value
 
     def accept(self) -> None:
         """The search accepted the point of the last ``move``: make it the base."""
@@ -247,7 +238,6 @@ class OneAngleObjective:
             self._L[r, :r + 1] = row
             self._accept(r, row, payload)
             self._angles[i], self._value, self._moved = v, value, None
-        self._stale = None
 
     def _rebase(self, L: np.ndarray) -> float:
         raise NotImplementedError

@@ -34,6 +34,7 @@ from glasd.losses import (
     shrink_to_pd,
     standardize_columns,
 )
+from glasd.estimate import estimate_correlation
 from glasd.manifold import cholesky_rows, corr_to_angles, default_angle_box
 
 TWO = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -302,6 +303,35 @@ class TestAngleObjective:
                 f.accept()
                 current = a
 
+    @pytest.mark.parametrize("kind", ["gaussian", "huber", "tukey"])
+    def test_long_walk_stays_exact(self, kind):
+        # 2,000 one-angle moves, half redraws and half small steps, accepted on
+        # descent or else with probability 0.05: each accept updates the
+        # cached whitened data in place, and its rounding must not build up
+        rng = np.random.default_rng(14)
+        p = 12
+        X = standardize_columns(rng.standard_t(3.0, (60, p)))
+        spec = LossSpec(kind, None if kind == "gaussian" else "iqr-auto")
+        box = default_angle_box(p)
+        f = AngleObjective(X, spec)
+        current = rng.uniform(box.lower, box.upper)
+        value = f(current)
+        for k in range(2000):
+            a = current.copy()
+            i = int(rng.integers(a.size))
+            if k % 2:
+                a[i] = rng.uniform(box.lower[i], box.upper[i])
+            else:
+                step = 0.05 * (box.upper[i] - box.lower[i]) * rng.standard_normal()
+                a[i] = min(max(a[i] + step, box.lower[i]), box.upper[i])
+            moved = f.move(a, i)
+            if k % 100 == 99:
+                ref = _loss_robust_from_factor(X, cholesky_rows(a), spec)
+                assert moved == pytest.approx(ref, rel=1e-10)
+            if moved < value or rng.uniform() < 0.05:
+                f.accept()
+                current, value = a, moved
+
     def test_one_angle_move_skips_the_full_rebuild(self, monkeypatch):
         import glasd.manifold
 
@@ -350,8 +380,8 @@ class TestAngleObjective:
     def test_growth_guard_covers_identity_columns(self, monkeypatch):
         # at a near-singular point whose near-null direction (x0 + x1) the data
         # avoids, only columns of L^{-1} are large; leaving the point shrinks
-        # them by ~1e12, and that alone must send the move down the full path
-        import glasd.manifold
+        # them by ~1e12, and that alone must send the move to a fresh solve
+        import glasd.losses
 
         p = 3
         box = default_angle_box(p)
@@ -359,17 +389,24 @@ class TestAngleObjective:
         X = np.column_stack([x[0], -x[0], x[1]])
         spec = LossSpec("gaussian")
         f = AngleObjective(X, spec)
-        calls = []
-        monkeypatch.setattr(glasd.manifold, "cholesky_rows",
-                            lambda a: (calls.append(1), cholesky_rows(a))[1])
         a = 0.5 * (box.lower + box.upper)
         a[0] = box.lower[0]                 # row 1 diagonal 1e-6
+        b = a.copy()
+        b[0] = 0.0
+        c = b.copy()
+        c[1] = box.lower[1]
+        ref_b, ref_c = (_loss_robust_from_factor(X, cholesky_rows(v), spec) for v in (b, c))
+        calls = []
+        monkeypatch.setattr(glasd.losses, "_forward",
+                            lambda L, B: (calls.append(1), _forward(L, B))[1])
         f(a)
-        a[0] = 0.0
-        value = f.move(a, 0)
+        assert len(calls) == 1
+        assert f.move(b, 0) == pytest.approx(ref_b, rel=1e-13)
         assert len(calls) == 2
-        assert value == pytest.approx(_loss_robust_from_factor(X, cholesky_rows(a), spec),
-                                      rel=1e-13)
+        f.accept()                          # accepting it rebases by the full solve
+        assert len(calls) == 3
+        assert f.move(c, 1) == pytest.approx(ref_c, rel=1e-13)
+        assert len(calls) == 3
 
     def test_dimension_mismatch(self):
         f = AngleObjective(np.ones((5, 3)) + np.eye(5, 3), LossSpec("gaussian"))
@@ -491,6 +528,27 @@ class TestStandardize:
         X = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(DegenerateDataError):
             standardize_columns(X)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda X: estimate_correlation(X, LossSpec("gaussian"), n_starts=1, master_seed=0),
+        lambda X: loss_robust(X, np.eye(3), LossSpec("huber", "iqr-auto")),
+        lambda X: mahalanobis_sq_all(X, np.eye(3)),
+        lambda X: AngleObjective(X, LossSpec("gaussian")),
+        standardize_columns,
+    ], ids=["estimate_correlation", "loss_robust", "mahalanobis_sq_all",
+            "AngleObjective", "standardize_columns"])
+    def test_fails_loudly(self, call, bad):
+        X = np.random.default_rng(13).standard_normal((20, 3))
+        X[4, 1] = bad
+        with pytest.raises(MalformedDataError):
+            call(X)
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(MalformedDataError):
+            mahalanobis_sq_all(np.ones(3), np.eye(3))
 
 
 class TestCsvLoading:
