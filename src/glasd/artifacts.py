@@ -1,13 +1,15 @@
 """Reading and writing of run artifacts: CSV tables, JSON records, config files.
 
-Machine formats carry 17 significant digits so written floats round-trip
-exactly.  JSON records are written with sorted keys, making reruns with the
-same seed byte-comparable apart from explicitly runtime-valued fields.
+Every CSV table goes through :func:`write_csv`, whose floats carry 17
+significant digits so they round-trip exactly.  JSON records are written with
+sorted keys, making reruns with the same seed byte-comparable apart from
+explicitly runtime-valued fields.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 import json
 import os
 import typing
@@ -15,8 +17,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import ConfigError, MalformedDataError
-from .losses import LOSS_KINDS, LossSpec
+from .errors import ConfigError
+from .losses import LOSS_KINDS, LossSpec, read_data_csv
 from .optimizer import OptimizerConfig
 from .simulate import (
     ContaminationSpec,
@@ -30,61 +32,54 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_matrix_csv(path, C: np.ndarray, names: list[str]) -> None:
-    C = np.asarray(C, dtype=float)
+def _cell(value) -> str:
+    return fmt(value) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """The header line, then one line per row; floats by :func:`fmt`, every
+    other cell by ``str``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in C:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for line in itertools.chain([header], rows):
+            fh.write(",".join(map(_cell, line)) + "\n")
+
+
+def write_matrix_csv(path, C: np.ndarray, names: list[str]) -> None:
+    write_csv(path, names, np.asarray(C, dtype=float).tolist())
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise MalformedDataError(f"{path}: empty file")
-    names = lines[0].split(",")
-    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
-    return np.asarray(rows, dtype=float), names
+    """A matrix and its column names, read and checked as a data file."""
+    data = read_data_csv(path)
+    return data.values, data.names()
 
 
 def write_angles_csv(path, angles: np.ndarray) -> None:
     """Flat single-row CSV of an angle vector in canonical row order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fmt(v) for v in np.asarray(angles, dtype=float)) + "\n")
+    write_csv(path, np.asarray(angles, dtype=float).tolist(), [])
 
 
 def write_trace_csv(path, trace: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,evaluations,f_best\n")
-        for it, ev, fb in trace:
-            fh.write(f"{int(it)},{int(ev)},{fmt(fb)}\n")
+    write_csv(path, ["iteration", "evaluations", "f_best"], trace.tolist())
 
 
 def write_heatmap_csv(path, C: np.ndarray, names: list[str]) -> None:
     """Long-format p*p rows (name_i, name_j, value) for external plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("name_i,name_j,value\n")
-        for i, ni in enumerate(names):
-            for j, nj in enumerate(names):
-                fh.write(f"{ni},{nj},{fmt(C[i, j])}\n")
+    C = np.asarray(C, dtype=float).tolist()
+    write_csv(path, ["name_i", "name_j", "value"],
+              ([ni, nj, C[i][j]] for i, ni in enumerate(names) for j, nj in enumerate(names)))
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+def _json_default(obj):
+    """numpy arrays and scalars as Python values; anything else fails as in json."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, record: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(record), fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 

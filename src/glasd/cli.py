@@ -21,7 +21,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import artifacts
 from .artifacts import (
     ensure_outdir,
     load_optimizer_overrides,
@@ -30,6 +29,7 @@ from .artifacts import (
     optimizer_config_from,
     scenario_record,
     write_angles_csv,
+    write_csv,
     write_heatmap_csv,
     write_json,
     write_matrix_csv,
@@ -159,17 +159,22 @@ def _run_benchmark(spec, config, n_starts, master_seed):
     return records, time.perf_counter() - t0
 
 
-def _start_record(r: RunRecord) -> dict:
-    """One start of a multi-start run, as the JSON records list it."""
-    return {"seed": r.seed, "f_best": r.f_best, "termination": r.termination, **r.counters()}
-
-
-def _resolved_record(config: OptimizerConfig, dim: int) -> dict:
-    """The configuration the searches ran with at search dimension ``dim``; no
-    ``seed`` key, because each search derives its seed from the master seed."""
-    record = asdict(config.resolved(dim))
-    del record["seed"]
-    return record
+def _search_record(config: OptimizerConfig, records: list[RunRecord], master_seed: int,
+                   dim: int) -> dict:
+    """The keys result.json and run.json share: the starts with their seeds and
+    counters, and the configuration as given and as resolved at search
+    dimension ``dim``, without ``seed``: each search derives its own."""
+    resolved = asdict(config.resolved(dim))
+    del resolved["seed"]
+    return {
+        "n_starts": len(records),
+        "master_seed": master_seed,
+        "start_seeds": [r.seed for r in records],
+        "per_start": [{"seed": r.seed, "f_best": r.f_best, "termination": r.termination,
+                       **r.counters()} for r in records],
+        "optimizer_config": asdict(config),
+        "optimizer_config_resolved": resolved,
+    }
 
 
 def cmd_optimize(args) -> int:
@@ -187,15 +192,10 @@ def cmd_optimize(args) -> int:
         "benchmark": args.fn,
         "variant": args.variant,
         "size": size,
-        "n_starts": args.starts,
-        "master_seed": master_seed,
-        "start_seeds": [r.seed for r in records],
         "min_value": float(f_bests.min()),
         "se_of_values": _standard_error(f_bests),
         "mean_runtime_s": elapsed / args.starts,
-        "per_start": [_start_record(r) for r in records],
-        "optimizer_config": asdict(config),
-        "optimizer_config_resolved": _resolved_record(config, dim),
+        **_search_record(config, records, master_seed, dim),
     }
     os.makedirs(out, exist_ok=True)
     write_json(f"{out}/result.json", record)
@@ -244,10 +244,8 @@ def cmd_benchmark(args) -> int:
                            "seed": fn_seed + 1, "values": base_vals.tolist()})
 
     os.makedirs(out, exist_ok=True)
-    with open(f"{out}/summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("benchmark,solver,min_value,se_of_values,mean_runtime_s\n")
-        for name, solver, mn, se, rt in rows:
-            fh.write(f"{name},{solver},{artifacts.fmt(mn)},{artifacts.fmt(se)},{artifacts.fmt(rt)}\n")
+    write_csv(f"{out}/summary.csv",
+              ["benchmark", "solver", "min_value", "se_of_values", "mean_runtime_s"], rows)
     write_json(f"{out}/benchmark.json", {
         "command": "benchmark", "variant": args.variant, "size": size,
         "n_starts": args.starts, "master_seed": master_seed,
@@ -282,14 +280,9 @@ def cmd_estimate(args) -> int:
         "loss": args.loss,
         "threshold_policy": args.threshold,
         "threshold": fit.threshold,
-        "n_starts": args.starts,
-        "master_seed": master_seed,
-        "start_seeds": fit.start_seeds,
-        "per_start": [_start_record(r) for r in fit.records],
         "f_best": fit.f_best,
         "runtime_s": elapsed,
-        "optimizer_config": asdict(config),
-        "optimizer_config_resolved": _resolved_record(config, angle_dim(data.p)),
+        **_search_record(config, fit.records, master_seed, angle_dim(data.p)),
     })
     print(f"estimated {data.p} x {data.p} correlation ({args.loss}); "
           f"objective {fit.f_best:.4g}")
@@ -305,12 +298,9 @@ def cmd_simulate(args) -> int:
     result = run_scenario(spec)
     agg = result.aggregate()
     os.makedirs(out, exist_ok=True)
-    with open(f"{out}/rmse_table.csv", "w", encoding="utf-8") as fh:
-        fh.write("loss,mean_rmse,se,mean_runtime\n")
-        for ls in spec.losses:
-            a = agg[ls.kind]
-            fh.write(f"{ls.kind},{artifacts.fmt(a['mean_rmse'])},"
-                     f"{artifacts.fmt(a['se_rmse'])},{artifacts.fmt(a['mean_runtime_s'])}\n")
+    write_csv(f"{out}/rmse_table.csv", ["loss", "mean_rmse", "se", "mean_runtime"],
+              ([ls.kind] + [agg[ls.kind][k] for k in ("mean_rmse", "se_rmse", "mean_runtime_s")]
+               for ls in spec.losses))
     write_json(f"{out}/scenario.json", {
         "command": "simulate",
         "config_file": str(args.scenario),
@@ -335,10 +325,7 @@ def cmd_outlier_report(args) -> int:
     out = ensure_outdir(args.out, "run.json", args.force)
     counts = outlier_report(data)
     os.makedirs(out, exist_ok=True)
-    with open(f"{out}/outliers.csv", "w", encoding="utf-8") as fh:
-        fh.write("column,count\n")
-        for name, cnt in counts:
-            fh.write(f"{name},{cnt}\n")
+    write_csv(f"{out}/outliers.csv", ["column", "count"], counts)
     write_json(f"{out}/run.json", {
         "command": "outlier-report",
         "input": str(args.data),

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,10 +13,12 @@ from glasd.artifacts import (
     load_scenario_config,
     make_loss_spec,
     read_matrix_csv,
+    write_csv,
+    write_json,
     write_matrix_csv,
     write_trace_csv,
 )
-from glasd.errors import ConfigError
+from glasd.errors import ConfigError, MalformedDataError
 from glasd.optimizer import OptimizerConfig
 from glasd.simulate import STRUCTURE_KINDS, ScenarioSpec, StructureSpec
 
@@ -34,6 +37,38 @@ class TestMatrixCsv:
     def test_fmt_roundtrip_extremes(self):
         for v in (1 / 3, 1e-300, -1.2345678901234567e17, 5.15e-11):
             assert float(fmt(v)) == v
+
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n3\n", "a,b\n1,2\n3,x\n", "a,b\n1,nan\n2,3\n"],
+                             ids=["ragged", "non-numeric", "non-finite"])
+    def test_read_rejects_malformed(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedDataError):
+            read_matrix_csv(path)
+
+
+class TestWriteCsv:
+    def test_floats_by_fmt_other_cells_by_str(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "count", "value"],
+                  [("a", 3, 0.1), ("b", np.int64(4), np.float64(1 / 3)), ("c", 5, 2.0)])
+        assert path.read_text().splitlines() == [
+            "name,count,value", "a,3,0.10000000000000001",
+            "b,4,0.33333333333333331", "c,5,2"]
+
+
+class TestWriteJson:
+    def test_numpy_values_as_python_values(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_json(path, {"a": np.arange(3), "b": np.float64(0.1), "c": np.int64(7),
+                          "d": [np.bool_(True), (1, 2)]})
+        assert json.loads(path.read_text()) == {"a": [0, 1, 2], "b": 0.1, "c": 7,
+                                                "d": [True, [1, 2]]}
+
+    def test_unknown_object_raises_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="set"):
+            write_json(tmp_path / "r.json", {"a": {1, 2}})
 
 
 class TestTraceCsv:
