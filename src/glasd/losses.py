@@ -54,11 +54,14 @@ from .manifold import OneAngleObjective, _cholesky, _tidy_corr, cholesky_rows
 
 LOSS_KINDS = ("gaussian", "huber", "truncated", "tukey")
 THRESHOLD_POLICIES = ("iqr-auto", "iqr-pilot")
+# Relative agreement of a one-angle proposal's value with a full evaluation.
+ONE_ANGLE_RTOL = 1e-10
 # Rounding error in a column of L^{-1} [X^T | I] kept up to date by rank-one
-# updates scales with the largest squared norm the column held since the last
-# full solve; when that exceeds the current one by more than this factor, the
-# objective solves afresh.
-GROWTH_LIMIT = 1e8
+# updates scales with eps times the largest squared norm the column held since
+# the last full solve; when that exceeds the current one by more than this
+# factor, the objective solves afresh.  The factor 4 covers the few roundings
+# of the one-pass update, so the limit is about 1.1e5.
+GROWTH_LIMIT = ONE_ANGLE_RTOL / (4 * float(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -412,6 +415,8 @@ def iqr_threshold(values, multiplier: float = 3.0) -> float:
     v = np.asarray(values, dtype=float)
     if v.size < 4:
         raise ValueError("need at least 4 values for quartiles")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     return _iqr_cutoff(np.sort(v, axis=None), multiplier)
 
 

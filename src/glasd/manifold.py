@@ -171,9 +171,22 @@ def corr_to_angles(C: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(C) -> np.ndarray:
-    """Lower Cholesky factor of C; NotPositiveDefiniteError when C has none."""
+    """Lower Cholesky factor of C; NotPositiveDefiniteError when C has none.
+
+    A C that is not square raises DomainMismatchError.  A non-finite entry,
+    or an asymmetry above 1e-12 max|C|, raises NotPositiveDefiniteError:
+    ``np.linalg.cholesky`` would return NaN for the one and read only the
+    lower triangle of the other.
+    """
+    C = np.asarray(C, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise DomainMismatchError("matrix must be square")
+    if not np.isfinite(C).all():
+        raise NotPositiveDefiniteError("matrix has non-finite entries")
+    if np.abs(C - C.T).max(initial=0.0) > 1e-12 * np.abs(C).max(initial=0.0):
+        raise NotPositiveDefiniteError("matrix is not symmetric")
     try:
-        return np.linalg.cholesky(np.asarray(C, dtype=float))
+        return np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix is not positive definite") from exc
 
@@ -340,10 +353,13 @@ def minimize_over_corr(
 
 
 def check_correlation(C: np.ndarray, eig_floor: float = 0.0) -> None:
-    """Raise unless C is symmetric with unit diagonal and min eigenvalue > floor."""
+    """Raise unless C is finite and symmetric with unit diagonal and min
+    eigenvalue > floor."""
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DomainMismatchError("correlation matrix must be square")
+    if not np.isfinite(C).all():
+        raise ValueError("matrix has non-finite entries")
     if not np.array_equal(C, C.T):
         raise ValueError("matrix is not stored symmetrically")
     if np.abs(np.diag(C) - 1.0).max() > 1e-12:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainMismatchError
 from .estimate import estimate_correlation
 from .losses import LossSpec, shrink_to_pd, standardize_columns
-from .manifold import angles_to_corr, default_angle_box
+from .manifold import _cholesky, angles_to_corr, default_angle_box
 from .optimizer import OptimizerConfig, derive_seeds
 
 STRUCTURE_KINDS = ("random-dense", "sparse-uniform", "block-toeplitz")
@@ -218,7 +218,7 @@ def gen_structure(spec: StructureSpec, rng: np.random.Generator) -> np.ndarray:
 def sample_data(C: np.ndarray, n: int, distribution: str, rng: np.random.Generator,
                 df: float = 3.0) -> np.ndarray:
     """Sample n rows with correlation/scale C; gaussian or multivariate t."""
-    L = np.linalg.cholesky(np.asarray(C, dtype=float))
+    L = _cholesky(C)
     Z = rng.standard_normal((n, L.shape[0]))
     X = Z @ L.T
     if distribution == "gaussian":

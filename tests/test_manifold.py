@@ -313,6 +313,12 @@ class TestInverseMap:
         with pytest.raises(NotPositiveDefiniteError):
             corr_to_angles(C)
 
+    def test_check_names_non_finite_entries(self):
+        C = np.eye(3)
+        C[0, 1] = C[1, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            check_correlation(C)
+
     def test_roundtrip_angles_first(self):
         rng = np.random.default_rng(2)
         a = interior_angles(5, rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glasd.errors import DomainMismatchError
+from glasd.errors import DomainMismatchError, NotPositiveDefiniteError
 from glasd.losses import LossSpec
 from glasd.manifold import check_correlation
 from glasd.optimizer import OptimizerConfig
@@ -97,6 +97,16 @@ class TestSampleData:
             z = (col - col.mean()) / col.std()
             excess_kurtosis = np.mean(z**4) - 3.0
             assert excess_kurtosis > 1.0
+
+    @pytest.mark.parametrize("bad", ["nan", "asymmetric"])
+    def test_bad_matrix_fails_loudly(self, bad):
+        C = np.eye(3)
+        if bad == "nan":
+            C[0, 1] = C[1, 0] = np.nan
+        else:
+            C[1, 0] = 0.5
+        with pytest.raises(NotPositiveDefiniteError):
+            sample_data(C, 10, "gaussian", np.random.default_rng(0))
 
     def test_deterministic(self):
         a = sample_data(np.eye(2), 50, "t", np.random.default_rng(8), df=3.0)
