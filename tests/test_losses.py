@@ -567,14 +567,14 @@ class TestNonFiniteData:
             mahalanobis_sq_all(np.ones(3), np.eye(3))
 
 
-def nan_pair(p=3):
-    C = np.eye(p)
+def nan_pair():
+    C = np.eye(3)
     C[0, 1] = C[1, 0] = math.nan
     return C
 
 
-def lower_only(p=3, asymmetry=0.5):
-    C = np.eye(p)
+def lower_only(asymmetry=0.5):
+    C = np.eye(3)
     C[1, 0] = asymmetry          # the upper triangle keeps 0
     return C
 
