@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .losses import AngleObjective, LossSpec, _values, pilot_correlation, resolved_spec
-from .manifold import angles_to_corr, check_correlation, corr_to_angles, default_angle_box
+from .losses import (AngleObjective, LossSpec, _iqr_cutoff, _sq_dist, _values,
+                     pilot_correlation, resolved_spec)
+from .manifold import (angles_to_corr, check_correlation, cholesky_rows, corr_to_angles,
+                       default_angle_box)
 from .optimizer import OptimizerConfig, RunRecord, _resolve_seed, multi_start_minimize
 
 
@@ -44,26 +46,24 @@ def estimate_correlation(
     ``X_std`` must already be column-standardized.  ``n_starts`` restarts are
     seeded from ``master_seed``, else from ``config.seed``, else from a fresh
     seed; the first restart is warm-started from the positive-definite-repaired
-    sample correlation.  The reported threshold is
-    the d^2-scale cutoff in force at the returned solution (for the
-    per-evaluation 'iqr-auto' policy that is the cutoff under the fitted
-    matrix; fixed and pilot-frozen thresholds report their constant).
+    sample correlation.  The reported threshold is the d^2-scale cutoff in
+    force at the returned solution: for 'iqr-auto', Q3 + 3*IQR of the squared
+    distances under the best angles' factor; the number itself for a fixed or
+    pilot-frozen threshold; None for gaussian.
 
     The returned matrix passes :func:`check_correlation`, else this raises
     NotPositiveDefiniteError: a frozen truncated or biweight cutoff leaves the
     objective unbounded below toward singular matrices.
     """
     X_std = _values(X_std)
-    p = X_std.shape[1]
     pilot = pilot_correlation(X_std, spec.pilot_shrinkage_floor)
     spec = resolved_spec(X_std, spec, pilot)
     warm = corr_to_angles(pilot)
 
     master_seed = _resolve_seed(master_seed, config)
-    objective = AngleObjective(X_std, spec)
     records = multi_start_minimize(
-        objective, default_angle_box(p), config=config, n_starts=n_starts,
-        master_seed=master_seed, x0_first=warm,
+        AngleObjective(X_std, spec), default_angle_box(X_std.shape[1]), config=config,
+        n_starts=n_starts, master_seed=master_seed, x0_first=warm,
     )
     best = min(records, key=lambda r: r.f_best)
     corr = angles_to_corr(best.x_best)
@@ -74,6 +74,9 @@ def estimate_correlation(
             f"the {spec.kind} fit ended at a matrix that is not positive definite; "
             "a frozen cutoff leaves the objective unbounded below toward singular "
             "matrices") from exc
+    thr = None if spec.kind == "gaussian" else spec.threshold
+    if thr == "iqr-auto":
+        thr = _iqr_cutoff(np.sort(_sq_dist(X_std, cholesky_rows(best.x_best))))
     return EstimateResult(corr=corr, f_best=best.f_best,
-                          threshold=objective.threshold_at(best.x_best),
+                          threshold=None if thr is None else float(thr),
                           records=records, seed=master_seed)

@@ -36,9 +36,9 @@ squared distances follow from the current point's squared column norms, the
 new row and the rank-one term, and nothing cached changes.  Accepting it
 applies the rank-one update in place and sums the column norms afresh.  A
 full evaluation (factor build plus an n p^2 forward substitution) runs at a
-start; a proposal the growth guard refuses is scored by a fresh solve, and
-accepting it rebases on the full solve.  :func:`loss_robust` is the single
-reference evaluation.
+start; a proposal the growth guard refuses is scored by that forward
+substitution alone, and accepting it adopts the solve.  :func:`loss_robust`
+is the single reference evaluation.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateDataError, DomainMismatchError, MalformedDataError
-from .manifold import OneAngleObjective, _cholesky, _tidy_corr, cholesky_rows
+from .manifold import OneAngleObjective, _cholesky, _tidy_corr
 
 LOSS_KINDS = ("gaussian", "huber", "truncated", "tukey")
 THRESHOLD_POLICIES = ("iqr-auto", "iqr-pilot")
@@ -336,42 +336,38 @@ class AngleObjective(OneAngleObjective):
     base points since the last full solve.  A proposal whose squared norm
     lies more than ``GROWTH_LIMIT`` below that (say after leaving a
     near-singular point) would carry the cancellation error of the large
-    values, so its distances come from a fresh solve instead, and accepting
-    it rebases by the full solve.
+    values, so it is scored by the full solve under its factor instead, and
+    accepting it adopts that solve, ``Y`` and ``sq`` alike.
     """
 
     def __init__(self, X, spec: LossSpec):
         V = _values(X)
         n, p = V.shape
         super().__init__(p)
-        self._V = V
+        self._n = n
         self._B = np.hstack([V.T, np.eye(p)])     # [X^T | I_p]
         self._kind = spec.kind
         self._thr = _loss_threshold(spec)
-        self._Y = np.empty((p, n + p))
-        self._sq = np.empty(n + p)           # column sums of Y**2
+        self._Y = self._sq = None            # L^{-1} [X^T | I_p]; column sums of Y**2
         self._logdiag = np.empty(p)
         self._logsum = 0.0
         self._sq_floor = np.empty(n + p)     # largest base squared norm / GROWTH_LIMIT
 
-    def threshold_at(self, angles) -> float | None:
-        """The d^2 cutoff in force at ``angles``: None for gaussian, the fixed
-        number, or for 'iqr-auto' the cutoff the objective computes there."""
-        if self._thr != "iqr-auto":
-            return None if self._thr is None else float(self._thr)
-        return _iqr_cutoff(np.sort(_sq_dist(self._V, cholesky_rows(angles))))
-
     def _loss_at(self, logdet: float, sq: np.ndarray) -> float:
-        n = self._V.shape[0]
-        return _loss_value(n, logdet, sq[:n], self._kind, self._thr)
+        return _loss_value(self._n, logdet, sq[:self._n], self._kind, self._thr)
 
-    def _rebase(self, L: np.ndarray) -> float:
-        Y = self._Y
-        Y[:] = _forward(L, self._B)
+    def _solve(self, L: np.ndarray):
+        Y = _forward(L, self._B)
+        return Y, np.einsum("ij,ij->j", Y, Y)
+
+    def _adopt(self, L: np.ndarray, solved) -> None:
+        self._Y, self._sq = solved
         np.log(np.diag(L), out=self._logdiag)
         self._logsum = float(np.sum(self._logdiag))
-        np.einsum("ij,ij->j", Y, Y, out=self._sq)
         np.divide(self._sq, GROWTH_LIMIT, out=self._sq_floor)
+
+    def _rebase(self, L: np.ndarray) -> float:
+        self._adopt(L, self._solve(L))
         return self._loss_at(2.0 * self._logsum, self._sq)
 
     def _move(self, r: int, row: np.ndarray):
@@ -379,7 +375,7 @@ class AngleObjective(OneAngleObjective):
         delta = np.dot(row, Y[:r + 1])       # y_r - y'_r, as the docstring derives
         delta -= self._B[r]
         delta /= row[r]
-        u = Y[r:, self._V.shape[0] + r] * -L[r, r]
+        u = Y[r:, self._n + r] * -L[r, r]
         u[0] = -1.0                          # u = [-1, z]
         sq = u @ Y[r:]
         sq *= 2.0
@@ -390,19 +386,19 @@ class AngleObjective(OneAngleObjective):
         if (sq < self._sq_floor).any():
             Lr = L.copy()
             Lr[r, :r + 1] = row
-            return self._loss_at(logdet, _sq_dist(self._V, Lr)), None
+            solved = self._solve(Lr)
+            return self._loss_at(logdet, solved[1]), solved
         return self._loss_at(logdet, sq), (u, delta)
 
     def _accept(self, r: int, row: np.ndarray, payload) -> None:
-        if payload is None:
-            self._rebase(self._L)
+        if payload[0].ndim == 2:             # a refused proposal's solve (Y', sq')
+            self._adopt(self._L, payload)
             return
         u, delta = payload
-        Y = self._Y
-        Y[r:] += u[:, None] * delta
+        self._Y[r:] += u[:, None] * delta
         self._logdiag[r] = math.log(row[r])
         self._logsum = float(np.sum(self._logdiag))
-        np.einsum("ij,ij->j", Y, Y, out=self._sq)
+        np.einsum("ij,ij->j", self._Y, self._Y, out=self._sq)
         np.maximum(self._sq_floor, self._sq / GROWTH_LIMIT, out=self._sq_floor)
 
 

@@ -218,6 +218,16 @@ class TestEstimateCommand:
             assert start["evaluations"] == start["iterations"] + 1
             assert 0 <= start["explore_accepts"] <= start["explore"] <= start["iterations"]
 
+    def test_iqr_threshold_on_three_rows(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n0.3,1.2\n-1.1,0.4\n2.0,-0.7\n")
+        out = tmp_path / "run"
+        code = main(["estimate", str(data), "--loss", "huber", "--threshold", "iqr",
+                     "--starts", "1", "--seed", "3", "--out", str(out), "--max-iters", "200"])
+        assert code == 0
+        record = json.loads((out / "run.json").read_text())
+        assert math.isfinite(record["threshold"]) and record["threshold"] > 0
+
     def test_fixed_threshold(self, tmp_path):
         data = tmp_path / "d.csv"
         write_clean_csv(data, p=4, n=100, seed=7)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,14 @@ class TestEstimateCorrelation:
         fit = estimate_correlation(Xs, LossSpec("gaussian"), config=cfg, n_starts=2,
                                    master_seed=6)
         assert fit.seed == 6 and fit.start_seeds == derive_seeds(6, 2)
+
+    def test_iqr_auto_cutoff_on_three_rows(self):
+        # the reported cutoff takes the objective's quartile rule, which,
+        # unlike iqr_threshold, needs no fourth value
+        Xs = standardize_columns(np.random.default_rng(8).standard_normal((3, 2)))
+        fit = estimate_correlation(Xs, LossSpec("huber", "iqr-auto"), config=FAST,
+                                   n_starts=1, master_seed=0)
+        assert math.isfinite(fit.threshold) and fit.threshold > 0
 
     def test_result_is_best_record(self):
         _, Xs = make_clean_data(n=400)

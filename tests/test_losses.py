@@ -278,6 +278,12 @@ class TestAngleObjective:
     # solve it afresh to keep the 1e-10 agreement
     @example(p=2, kind="gaussian", policy="number", seed=1,
              moves=[(0, 1e-06, True, "one"), (0, 0.0078125, False, "one")])
+    # the refused move out of a near-singular point accepted, so the objective
+    # adopts its solve; then one-pass moves from that adopted base, the first
+    # accepted into it in place
+    @example(p=3, kind="gaussian", policy="number", seed=0,
+             moves=[(0, 0.0, True, "one"), (0, 0.5, True, "one"),
+                    (1, 0.3, True, "one"), (0, 0.2, False, "one")])
     @given(p=st.integers(2, 12), kind=st.sampled_from(LOSS_KINDS),
            policy=st.sampled_from(["number", "iqr-pilot", "iqr-auto"]),
            seed=st.integers(0, 2**32 - 1), moves=st.lists(MOVES, min_size=1, max_size=40))
@@ -407,6 +413,8 @@ class TestAngleObjective:
         c = b.copy()
         c[1] = box.lower[1]
         ref_b, ref_c = (_loss_robust_from_factor(X, cholesky_rows(v), spec) for v in (b, c))
+        fresh = AngleObjective(X, spec)
+        fresh(b)
         calls = []
         monkeypatch.setattr(glasd.losses, "_forward",
                             lambda L, B: (calls.append(1), _forward(L, B))[1])
@@ -414,10 +422,13 @@ class TestAngleObjective:
         assert len(calls) == 1
         assert f.move(b, 0) == pytest.approx(ref_b, rel=1e-13)
         assert len(calls) == 2
-        f.accept()                          # accepting it rebases by the full solve
-        assert len(calls) == 3
+        f.accept()                          # accepting it adopts that solve
+        assert len(calls) == 2
+        # bit for bit the state of a full evaluation at b
+        for name in ("_Y", "_sq", "_sq_floor"):
+            assert getattr(f, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert f.move(c, 1) == pytest.approx(ref_c, rel=1e-13)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_dimension_mismatch(self):
         f = AngleObjective(np.ones((5, 3)) + np.eye(5, 3), LossSpec("gaussian"))
