@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import typing
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -101,9 +101,15 @@ def ensure_outdir(out, record_name: str, force: bool) -> str:
 # config files (INI: flat key/value entries grouped into sections)
 
 def _read_ini(path) -> configparser.ConfigParser:
-    """Parsed INI file; ``;`` after whitespace starts a comment, also after a value."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    if not parser.read(path):
+    """Parsed UTF-8 INI file; ``;`` after whitespace starts a comment, also
+    after a value, and ``%`` is a plain character.  A file that does not
+    parse is a ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
+    if not read:
         raise ConfigError(f"cannot read config file {path}")
     return parser
 
@@ -229,10 +235,7 @@ def load_scenario_config(path) -> ScenarioSpec:
 
 
 def make_loss_spec(kind: str, threshold: str) -> LossSpec:
-    """LossSpec from CLI-style strings: threshold is 'iqr', 'iqr-pilot', or a number.
-
-    The threshold is checked for every kind; the gaussian spec then drops it.
-    """
+    """LossSpec from CLI-style strings: threshold is 'iqr', 'iqr-pilot', or a number."""
     if threshold in ("iqr", "iqr-auto"):
         threshold = "iqr-auto"
     elif threshold != "iqr-pilot":
@@ -241,14 +244,6 @@ def make_loss_spec(kind: str, threshold: str) -> LossSpec:
         except ValueError:
             raise ConfigError(f"bad threshold {threshold!r}") from None
     try:
-        spec = LossSpec(kind, threshold)
+        return LossSpec(kind, threshold)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return LossSpec("gaussian") if kind == "gaussian" else spec
-
-
-def scenario_record(spec: ScenarioSpec) -> dict:
-    """JSON-ready view of a scenario spec."""
-    rec = asdict(spec)
-    rec["losses"] = [asdict(ls) for ls in spec.losses]
-    return rec

@@ -27,7 +27,6 @@ from .artifacts import (
     load_scenario_config,
     make_loss_spec,
     optimizer_config_from,
-    scenario_record,
     write_angles_csv,
     write_csv,
     write_heatmap_csv,
@@ -304,7 +303,7 @@ def cmd_simulate(args) -> int:
     write_json(f"{out}/scenario.json", {
         "command": "simulate",
         "config_file": str(args.scenario),
-        "spec": scenario_record(spec),
+        "spec": asdict(spec),
         "data_seeds": result.data_seeds,
         "cells": [
             {"replicate": c.replicate, "loss": c.loss, "rmse": c.rmse,

@@ -56,7 +56,7 @@ def estimate_correlation(
     objective unbounded below toward singular matrices.
     """
     X_std = _values(X_std)
-    pilot = pilot_correlation(X_std, spec.pilot_shrinkage_floor)
+    pilot = pilot_correlation(X_std)
     spec = resolved_spec(X_std, spec, pilot)
     warm = corr_to_angles(pilot)
 
@@ -74,7 +74,7 @@ def estimate_correlation(
             f"the {spec.kind} fit ended at a matrix that is not positive definite; "
             "a frozen cutoff leaves the objective unbounded below toward singular "
             "matrices") from exc
-    thr = None if spec.kind == "gaussian" else spec.threshold
+    thr = spec.threshold
     if thr == "iqr-auto":
         thr = _iqr_cutoff(np.sort(_sq_dist(X_std, cholesky_rows(best.x_best))))
     return EstimateResult(corr=corr, f_best=best.f_best,

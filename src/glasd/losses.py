@@ -98,20 +98,17 @@ class DataMatrix:
 class LossSpec:
     """Loss family plus its threshold: a number on the d^2 scale or a policy.
 
-    A numeric threshold must be positive and finite, and
-    ``pilot_shrinkage_floor`` (the pilot's minimum eigenvalue) must lie in
-    (0, 1).
+    A numeric threshold must be positive and finite.  A gaussian spec checks
+    a given threshold as any other kind does, then stores None: the gaussian
+    loss has no threshold.
     """
 
     kind: str = "gaussian"
     threshold: float | str | None = None
-    pilot_shrinkage_floor: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        # a given threshold must be valid for every kind, although the
-        # gaussian loss does not use it
         if self.threshold is None:
             if self.kind != "gaussian":
                 raise ValueError(
@@ -125,8 +122,8 @@ class LossSpec:
                 )
         elif not 0 < self.threshold < math.inf:
             raise ValueError("fixed threshold must be positive and finite")
-        if not 0 < self.pilot_shrinkage_floor < 1:
-            raise ValueError("pilot_shrinkage_floor must lie in (0, 1)")
+        if self.kind == "gaussian":
+            object.__setattr__(self, "threshold", None)
 
 
 def _values(X) -> np.ndarray:
@@ -266,16 +263,13 @@ def _sq_dist(V: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 def _loss_threshold(spec: LossSpec):
-    """Threshold for the objective core: None for gaussian; 'iqr-pilot' must be resolved."""
-    if spec.kind == "gaussian":
-        return None
-    thr = spec.threshold
-    if thr is None or thr == "iqr-pilot":
+    """Threshold for the objective core; 'iqr-pilot' must be resolved first."""
+    if spec.threshold == "iqr-pilot":
         raise ValueError(
             "threshold not resolved to a number (resolve 'iqr-pilot' with "
             "resolved_spec first)"
         )
-    return thr
+    return spec.threshold
 
 
 def loss_robust(X, C, spec: LossSpec) -> float:
@@ -284,7 +278,7 @@ def loss_robust(X, C, spec: LossSpec) -> float:
     A numeric threshold (d^2 scale; for tukey it is the plateau location
     tau^2) is used as given; 'iqr-auto' recomputes the cutoff from the
     distances under C itself.  'iqr-pilot' must be resolved to a number first
-    with :func:`resolved_spec`.  The gaussian kind ignores the threshold.
+    with :func:`resolved_spec`.
     """
     return _loss_robust_from_factor(X, _cholesky(C), spec)
 
@@ -463,15 +457,15 @@ def resolved_spec(X, spec: LossSpec, pilot: np.ndarray | None = None) -> LossSpe
     The number is Q3 + 3*IQR (:func:`iqr_threshold`) of the squared
     Mahalanobis distances of X under the pilot correlation, on the d^2 scale
     for every loss kind (for tukey it is the plateau location tau^2).
-    ``pilot`` is ``pilot_correlation(X, spec.pilot_shrinkage_floor)`` when a
-    caller has built it already; by default it is built here.  Any other
-    spec, the per-evaluation 'iqr-auto' policy included, is returned as it
-    is; 'iqr-auto' is resolved inside the loss at every evaluation.
+    ``pilot`` is ``pilot_correlation(X)`` when a caller has built it already;
+    by default it is built here.  Any other spec, the per-evaluation
+    'iqr-auto' policy included, is returned as it is; 'iqr-auto' is resolved
+    inside the loss at every evaluation.
     """
-    if spec.kind == "gaussian" or spec.threshold != "iqr-pilot":
+    if spec.threshold != "iqr-pilot":
         return spec
     if pilot is None:
-        pilot = pilot_correlation(X, spec.pilot_shrinkage_floor)
+        pilot = pilot_correlation(X)
     return replace(spec, threshold=iqr_threshold(mahalanobis_sq_all(X, pilot)))
 
 
@@ -495,8 +489,11 @@ def read_data_csv(path) -> DataMatrix:
     header.  Ragged rows, non-numeric body cells, and non-finite values are
     hard errors.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise MalformedDataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise MalformedDataError(f"{path}: empty file")
 

@@ -87,9 +87,9 @@ class OptimizerConfig:
     Derived defaults: ``c = 0.001*ln(n)``, ``max_iters = round(3000*ln(n))``
     and ``stagnation_window = 4n``, with ``ln(max(n, 2))`` replacing ``ln(n)``
     so one-dimensional problems keep a positive temperature and budget.  The
-    2n direction weights always start equal.  Every number must be finite;
-    ``r`` is the exploration radius of ``r_policy = "fixed"`` and is refused
-    under the default policy, which ignores it.
+    2n direction weights always start equal.  Every number must be finite.
+    ``r`` is the exploration radius: ``None`` draws each exploration step up
+    to the bound it faces, a positive ``r`` draws it up to ``r``.
     """
 
     s_init: float = 0.1
@@ -99,8 +99,7 @@ class OptimizerConfig:
     p_dec: float = 2.0
     m: int = 5
     c: float | None = None
-    r_policy: str = "dynamic-to-bound"   # or "fixed"
-    r: float | None = None               # radius when r_policy == "fixed"
+    r: float | None = None               # fixed exploration radius, if set
     max_iters: int | None = None
     stagnation_window: int | None = None
     epsilon: float = 1e-20
@@ -118,12 +117,8 @@ class OptimizerConfig:
             raise ValueError("m must be >= 1")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
-        if self.r_policy not in ("dynamic-to-bound", "fixed"):
-            raise ValueError("r_policy must be 'dynamic-to-bound' or 'fixed'")
-        if self.r_policy == "fixed" and (self.r is None or not 0 < self.r < math.inf):
-            raise ValueError("fixed r_policy needs a finite positive r")
-        if self.r_policy != "fixed" and self.r is not None:
-            raise ValueError("r applies only with r_policy 'fixed'")
+        if self.r is not None and not 0 < self.r < math.inf:
+            raise ValueError("r must be positive and finite")
         if self.max_iters is not None and not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
         if self.stagnation_window is not None and not self.stagnation_window >= 1:
@@ -327,7 +322,7 @@ class Search:
         xi, lo, hi = x.item(i), self._lower[i], self._upper[i]
         if j is not None:
             mag = self._s[j]
-        elif cfg.r_policy == "dynamic-to-bound":
+        elif cfg.r is None:
             mag = rng.uniform(0.0, (hi - xi) if sign > 0 else (xi - lo))
         else:
             mag = rng.uniform(0.0, cfg.r)

@@ -145,6 +145,8 @@ class ScenarioSpec:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         kinds = [ls.kind for ls in self.losses]
+        if not kinds:
+            raise ValueError("a scenario needs at least one loss")
         if len(set(kinds)) != len(kinds):
             raise ValueError("loss kinds must be unique within a scenario")
 

@@ -140,6 +140,18 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             load_scenario_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("line, match", [
+        ("[structure]\n", "sections"),
+        ("kind = sparse-uniform\n", "kind"),
+        ("p = 6\n", "'p' and 'n'"),
+        ("n = 50\n", "'p' and 'n'"),
+    ], ids=["structure", "kind", "p", "n"])
+    def test_required_entry_missing(self, tmp_path, line, match):
+        path = tmp_path / "s.ini"
+        path.write_text(SCENARIO_INI.replace(line, "", 1))
+        with pytest.raises(ConfigError, match=match):
+            load_scenario_config(path)
+
     def test_optimizer_seed_rejected(self, tmp_path):
         # run_scenario derives one search seed per loss from master_seed, so
         # an [optimizer] seed would be silently overridden
@@ -192,7 +204,7 @@ class TestOptimizerOverrides:
         # derived from OptimizerConfig's type hints, with None dropped
         assert _OPTIMIZER_KEYS == {
             "s_init": float, "s_inc": float, "s_dec": float, "p_inc": float,
-            "p_dec": float, "m": int, "c": float, "r_policy": str, "r": float,
+            "p_dec": float, "m": int, "c": float, "r": float,
             "max_iters": int, "stagnation_window": int, "epsilon": float,
             "explore_enabled": bool, "seed": int,
         }

@@ -106,25 +106,24 @@ class TestOptimizeCommand:
         resolved = json.loads((out / "result.json").read_text())["optimizer_config_resolved"]
         assert resolved == {
             "s_init": 0.1, "s_inc": 2.0, "s_dec": 2.0, "p_inc": 2.0, "p_dec": 2.0,
-            "m": 5, "c": 0.001 * math.log(3), "r_policy": "dynamic-to-bound", "r": None,
+            "m": 5, "c": 0.001 * math.log(3), "r": None,
             "max_iters": 3296, "stagnation_window": 12, "epsilon": 1e-20,
             "explore_enabled": True,
         }
 
-    def test_fixed_radius_without_r_exit_2(self, tmp_path, capsys):
+    def test_r_policy_is_an_unknown_key_exit_2(self, tmp_path, capsys):
+        # r alone sets a fixed radius; there is no policy key
         ini = tmp_path / "opt.ini"
-        ini.write_text("[optimizer]\nr_policy = fixed\n")
+        ini.write_text("[optimizer]\nr_policy = fixed\nr = 0.05\n")
         out = tmp_path / "run"
         assert main(["optimize", "--fn", "ackley", "--M", "3", "--config", str(ini),
                      "--seed", "5", "--out", str(out)]) == 2
-        assert "positive r" in capsys.readouterr().err
+        assert "unknown key 'r_policy'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("ini, flags", [
         ("s_init = nan", []), ("p_inc = inf", []), ("c = nan", []), ("", ["--epsilon", "nan"]),
-        ("r_policy = fixed\nr = inf", []),
-        # the radius applies only under the fixed policy
-        ("r = 0.05", []),
+        ("r = inf", []), ("r = 0", []), ("max_iters = 40%", []),
     ])
     def test_bad_tuning_values_exit_2_before_output(self, tmp_path, ini, flags):
         config = tmp_path / "opt.ini"
@@ -133,6 +132,14 @@ class TestOptimizeCommand:
         assert main(["optimize", "--fn", "ackley", "--M", "3", "--config", str(config),
                      "--seed", "5", "--max-iters", "20", "--out", str(out)] + flags) == 2
         assert not out.exists()
+
+    def test_stagnation_window_flag(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["optimize", "--fn", "ackley", "--M", "3", "--starts", "1", "--seed", "2",
+                     "--max-iters", "50", "--stagnation-window", "7", "--out", str(out)]) == 0
+        record = json.loads((out / "result.json").read_text())
+        assert record["optimizer_config"]["stagnation_window"] == 7
+        assert record["optimizer_config_resolved"]["stagnation_window"] == 7
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -244,6 +251,13 @@ class TestEstimateCommand:
         data.write_text("a,b\n1,2\n3,zebra\n")
         assert main(["estimate", str(data), "--out", str(tmp_path / "r")]) == 2
 
+    def test_non_utf8_csv_exit_2_before_output(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"a,b\n1,2\n3,\xff\n4,5\n")
+        out = tmp_path / "r"
+        assert main(["estimate", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_ragged_csv_exit_2(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("1,2\n3\n")
@@ -283,6 +297,37 @@ kind = rows
 [optimizer]
 max_iters = 250
 """
+
+
+def malformed_ini(text: str, how: str) -> bytes:
+    """The bytes of ``text``, an INI file with an [optimizer] section, made
+    unreadable in the way ``how`` names."""
+    if how == "duplicate-option":
+        text = text.replace("[optimizer]\n", "[optimizer]\nepsilon = 0\nepsilon = 0\n")
+    elif how == "duplicate-section":
+        text += "\n[optimizer]\nepsilon = 0\n"
+    elif how == "no-section-header":
+        text = "epsilon = 0\n" + text.lstrip()
+    elif how == "not-utf8":
+        return (text + "; caf\xe9\n").encode("latin-1")
+    return text.encode()
+
+
+@pytest.mark.parametrize("how", ["duplicate-option", "duplicate-section",
+                                 "no-section-header", "not-utf8"])
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+def test_malformed_ini_exit_2_before_output(tmp_path, capsys, command, how):
+    ini = tmp_path / "c.ini"
+    out = tmp_path / "r"
+    if command == "optimize":
+        ini.write_bytes(malformed_ini(OPT_INI, how))
+        argv = ["optimize", "--fn", "ackley", "--M", "3", "--config", str(ini)]
+    else:
+        ini.write_bytes(malformed_ini(SCENARIO_INI, how))
+        argv = ["simulate", str(ini)]
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+    assert "malformed config file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConfigSeed:
@@ -337,6 +382,15 @@ class TestSimulateCommand:
         cfg = tmp_path / "s.ini"
         cfg.write_text(SCENARIO_INI.replace("kind = rows", "kind = rowz"))
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+    def test_no_losses_exit_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SCENARIO_INI.replace("losses = gaussian, huber, truncated, tukey",
+                                            "losses ="))
+        out = tmp_path / "r"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert "at least one loss" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonfinite_df_exit_2_before_output(self, tmp_path):
         cfg = tmp_path / "s.ini"

@@ -173,14 +173,19 @@ class TestRobustLoss:
 
     @pytest.mark.parametrize("kwargs", [
         {"threshold": math.inf},
-        {"threshold": "iqr-auto", "pilot_shrinkage_floor": 1.0},
-        {"threshold": "iqr-auto", "pilot_shrinkage_floor": 2.0},
-        {"threshold": "iqr-auto", "pilot_shrinkage_floor": math.nan},
+        # a gaussian spec checks a threshold before it drops it
+        {"kind": "gaussian", "threshold": math.inf},
+        {"kind": "gaussian", "threshold": -1.0},
+        {"kind": "gaussian", "threshold": "iqr"},
     ])
     def test_spec_numbers_checked(self, kwargs):
-        # a threshold must be finite and the pilot's eigenvalue floor in (0, 1)
+        # a threshold must be a positive finite number or a policy
         with pytest.raises(ValueError):
-            LossSpec("huber", **kwargs)
+            LossSpec(**{"kind": "huber", **kwargs})
+
+    def test_gaussian_spec_stores_no_threshold(self):
+        assert LossSpec("gaussian", 5.0).threshold is None
+        assert LossSpec("gaussian", "iqr-pilot") == LossSpec("gaussian")
 
     def test_unresolved_pilot_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -649,4 +654,14 @@ class TestCsvLoading:
         path = tmp_path / "d.csv"
         path.write_text("1,2\nnan,4\n")
         with pytest.raises(MalformedDataError):
+            read_data_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        (b"", "empty file"), (b"\n\n", "empty file"), (b"a,b\n", "no data rows"),
+        (b"a,b\n1,\xff\n", "not UTF-8"),
+    ], ids=["empty", "blank-lines", "header-only", "not-utf8"])
+    def test_no_data_or_bad_encoding_is_hard_error(self, tmp_path, text, match):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        with pytest.raises(MalformedDataError, match=match):
             read_data_csv(path)

@@ -319,6 +319,18 @@ class TestInverseMap:
         with pytest.raises(ValueError, match="non-finite"):
             check_correlation(C)
 
+    @pytest.mark.parametrize("entries, match", [
+        ({(0, 1): 0.3, (1, 0): 0.2}, "symmetric"),
+        ({(2, 2): 1.0 + 1e-9}, "diagonal"),
+        ({(0, 1): 1.5, (1, 0): 1.5}, r"\[-1, 1\]"),
+    ], ids=["asymmetric", "diagonal", "range"])
+    def test_check_names_the_broken_property(self, entries, match):
+        C = np.eye(3)
+        for ij, value in entries.items():
+            C[ij] = value
+        with pytest.raises(ValueError, match=match):
+            check_correlation(C)
+
     def test_roundtrip_angles_first(self):
         rng = np.random.default_rng(2)
         a = interior_angles(5, rng)

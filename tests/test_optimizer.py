@@ -68,15 +68,15 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize("name", ["s_init", "s_inc", "s_dec", "p_inc", "p_dec",
                                       "c", "r", "epsilon"])
     def test_nonfinite_values_rejected(self, name, value):
-        # r is read only under the fixed policy
-        extra = {"r_policy": "fixed"} if name == "r" else {}
         with pytest.raises(ValueError):
-            OptimizerConfig(**{name: value}, **extra)
+            OptimizerConfig(**{name: value})
 
-    def test_r_needs_the_fixed_policy(self):
-        with pytest.raises(ValueError, match="r_policy"):
-            OptimizerConfig(r=0.05)
-        assert OptimizerConfig(r_policy="fixed", r=0.05).r == 0.05
+    def test_radius_alone_sets_a_fixed_radius(self):
+        for r in (0.0, -0.05):
+            with pytest.raises(ValueError, match="r must be positive"):
+                OptimizerConfig(r=r)
+        assert OptimizerConfig(r=0.05).r == 0.05
+        assert OptimizerConfig().r is None
 
 
 class TestAcceptanceProb:
@@ -241,7 +241,7 @@ class TestGlasd:
         # one coordinate by at most r from the current point and stays in the box
         r = 0.05
         dom = BoxDomain(np.full(3, -10.0), np.full(3, 10.0))
-        cfg = OptimizerConfig(seed=8, r_policy="fixed", r=r, max_iters=2000, epsilon=0.0)
+        cfg = OptimizerConfig(seed=8, r=r, max_iters=2000, epsilon=0.0)
         search = started(dom, lambda x: sphere(x - 3.0), x0=[9.9, 0.0, -9.9], config=cfg)
         moves = []
         while not search.done:
@@ -327,7 +327,6 @@ class TestSearch:
         # non-improving exploration move for the first e^(10m) iterations
         dom = BoxDomain(np.full(n, -1.0), np.full(n, 2.0))
         cfg = OptimizerConfig(seed=seed, explore_enabled=explore_enabled, m=m, c=c,
-                              r_policy="fixed" if fixed_r else "dynamic-to-bound",
                               r=0.3 if fixed_r else None, stagnation_window=window,
                               max_iters=len(values))
         search = Search(dom, config=cfg)
