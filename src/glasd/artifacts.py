@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import ConfigError
-from .losses import LOSS_KINDS, LossSpec, read_data_csv
+from .losses import LOSS_KINDS, LossSpec
 from .optimizer import OptimizerConfig
 from .simulate import (
     ContaminationSpec,
@@ -46,12 +46,6 @@ def write_csv(path, header, rows) -> None:
 
 def write_matrix_csv(path, C: np.ndarray, names: list[str]) -> None:
     write_csv(path, names, np.asarray(C, dtype=float).tolist())
-
-
-def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    """A matrix and its column names, read and checked as a data file."""
-    data = read_data_csv(path)
-    return data.values, data.names()
 
 
 def write_angles_csv(path, angles: np.ndarray) -> None:
@@ -101,12 +95,12 @@ def ensure_outdir(out, record_name: str, force: bool) -> str:
 # config files (INI: flat key/value entries grouped into sections)
 
 def _read_ini(path) -> configparser.ConfigParser:
-    """Parsed UTF-8 INI file; ``;`` after whitespace starts a comment, also
-    after a value, and ``%`` is a plain character.  A file that does not
-    parse is a ConfigError."""
+    """Parsed UTF-8 INI file, a leading byte-order mark dropped; ``;`` after
+    whitespace starts a comment, also after a value, and ``%`` is a plain
+    character.  A file that does not parse is a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:

@@ -124,13 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _optimizer_config(args) -> OptimizerConfig:
     overrides = {}
-    if getattr(args, "config", None):
+    if args.config:
         overrides.update(load_optimizer_overrides(args.config))
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         overrides["max_iters"] = args.max_iters
-    if getattr(args, "stagnation_window", None) is not None:
+    if args.stagnation_window is not None:
         overrides["stagnation_window"] = args.stagnation_window
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
     return optimizer_config_from(overrides)
 

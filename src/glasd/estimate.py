@@ -29,10 +29,6 @@ class EstimateResult:
     records: list[RunRecord]
     seed: int
 
-    @property
-    def start_seeds(self) -> list[int]:
-        return [r.seed for r in self.records]
-
 
 def estimate_correlation(
     X_std: np.ndarray,

@@ -62,6 +62,8 @@ ONE_ANGLE_RTOL = 1e-10
 # factor, the objective solves afresh.  The factor 4 covers the few roundings
 # of the one-pass update, so the limit is about 1.1e5.
 GROWTH_LIMIT = ONE_ANGLE_RTOL / (4 * float(np.finfo(float).eps))
+# Smallest eigenvalue :func:`shrink_to_pd` leaves a repaired matrix.
+_SHRINK_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -197,10 +199,10 @@ def _quartiles(s: np.ndarray) -> tuple[float, float]:
     return vals[0], vals[1]
 
 
-def _iqr_cutoff(s: np.ndarray, multiplier: float = 3.0) -> float:
-    """Q3 + multiplier*IQR of the ascending array s, floored at 1e-12."""
+def _iqr_cutoff(s: np.ndarray) -> float:
+    """Q3 + 3*IQR of the ascending array s, floored at 1e-12."""
     q1, q3 = _quartiles(s)
-    return max(q3 + multiplier * (q3 - q1), 1e-12)
+    return max(q3 + 3.0 * (q3 - q1), 1e-12)
 
 
 def _rho_sum_auto(d2: np.ndarray, kind: str) -> float:
@@ -396,8 +398,8 @@ class AngleObjective(OneAngleObjective):
         np.maximum(self._sq_floor, self._sq / GROWTH_LIMIT, out=self._sq_floor)
 
 
-def iqr_threshold(values, multiplier: float = 3.0) -> float:
-    """Q3 + multiplier * (Q3 - Q1), quartiles by linear interpolation.
+def iqr_threshold(values) -> float:
+    """Q3 + 3 * (Q3 - Q1), quartiles by linear interpolation.
 
     The same rule, and the same 1e-12 floor, as the 'iqr-auto' cutoff the
     objective recomputes at every evaluation.
@@ -407,7 +409,7 @@ def iqr_threshold(values, multiplier: float = 3.0) -> float:
         raise ValueError("need at least 4 values for quartiles")
     if not np.isfinite(v).all():
         raise ValueError("values must be finite")
-    return _iqr_cutoff(np.sort(v, axis=None), multiplier)
+    return _iqr_cutoff(np.sort(v, axis=None))
 
 
 def sample_correlation(X) -> np.ndarray:
@@ -426,29 +428,29 @@ def standardize_columns(X) -> np.ndarray:
     return (V - V.mean(axis=0)) / sd
 
 
-def shrink_to_pd(S: np.ndarray, eig_floor: float = 1e-3) -> np.ndarray:
-    """Identity shrinkage (S + lam*I)/(1 + lam) with minimal lam reaching the floor.
+def shrink_to_pd(S: np.ndarray) -> np.ndarray:
+    """Identity shrinkage (S + lam*I)/(1 + lam) with minimal lam reaching a
+    smallest eigenvalue of 1e-3.
 
     The shrunk minimum eigenvalue is (mu_min + lam)/(1 + lam), monotone in
-    lam, so the minimal lam has the closed form (floor - mu_min)/(1 - floor).
+    lam, so the minimal lam has the closed form (1e-3 - mu_min)/(1 - 1e-3).
     A shrunk matrix is tidied as every correlation matrix of the package is:
     stored exactly symmetric, with an exact unit diagonal and entries clipped
     to [-1, 1].  The clip changes an entry only when S has entries beyond
     [-1, 1]; a correlation matrix has none.
     """
     S = np.asarray(S, dtype=float)
-    if not 0 < eig_floor < 1:
-        raise ValueError("eig_floor must lie in (0, 1)")
     mu_min = float(np.linalg.eigvalsh(S).min())
-    lam = max(0.0, (eig_floor - mu_min) / (1.0 - eig_floor))
+    lam = max(0.0, (_SHRINK_FLOOR - mu_min) / (1.0 - _SHRINK_FLOOR))
     if lam == 0.0:
         return S.copy()
     return _tidy_corr((S + lam * np.eye(S.shape[0])) / (1.0 + lam))
 
 
-def pilot_correlation(X, eig_floor: float = 1e-3) -> np.ndarray:
-    """Shrunk sample correlation used to freeze thresholds and warm-start searches."""
-    return shrink_to_pd(sample_correlation(X), eig_floor)
+def pilot_correlation(X) -> np.ndarray:
+    """Sample correlation shrunk to a smallest eigenvalue of 1e-3
+    (:func:`shrink_to_pd`), used to freeze thresholds and warm-start searches."""
+    return shrink_to_pd(sample_correlation(X))
 
 
 def resolved_spec(X, spec: LossSpec, pilot: np.ndarray | None = None) -> LossSpec:
@@ -485,12 +487,12 @@ def outlier_report(X) -> list[tuple[str, int]]:
 def read_data_csv(path) -> DataMatrix:
     """Load a comma-separated UTF-8 data file, auto-detecting a header row.
 
-    A first row with any cell that does not parse as a number is taken as the
-    header.  Ragged rows, non-numeric body cells, and non-finite values are
-    hard errors.
+    A leading byte-order mark is dropped.  A first row with any cell that
+    does not parse as a number is taken as the header.  Ragged rows,
+    non-numeric body cells, and non-finite values are hard errors.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise MalformedDataError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -317,15 +317,13 @@ def minimize_over_corr(
     config: OptimizerConfig | None = None,
     n_starts: int = 10,
     master_seed: int | None = None,
-    warm_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[RunRecord]]:
     """Multi-start minimization of a matrix objective over the angle box.
 
     ``loss`` takes a correlation matrix and returns a float.  ``n_starts``
-    independent runs use seeds derived from ``master_seed``; the first run can
-    be warm-started from an angle vector.  Returns the matrix of the run with
-    the smallest best value, ``angles_to_corr`` of its best angles, together
-    with all run records.
+    independent runs use seeds derived from ``master_seed``.  Returns the
+    matrix of the run with the smallest best value, ``angles_to_corr`` of its
+    best angles, together with all run records.
 
     The runs share one :class:`MatrixObjective`: a proposal that moves one
     angle rebuilds one factor row and one row and column of the matrix, at
@@ -337,8 +335,7 @@ def minimize_over_corr(
     search handles it as any nonfinite value (:class:`Search`).  A proposal
     there is rejected, so no run moves into the region, not even by an
     exploration move.  A start drawn there is redrawn from the run's RNG up
-    to ``START_REDRAWS`` times, and each draw counts as an evaluation.  A
-    warm start there raises ObjectiveEvaluationError.
+    to ``START_REDRAWS`` times, and each draw counts as an evaluation.
     """
     records = multi_start_minimize(
         MatrixObjective(loss, M),
@@ -346,15 +343,14 @@ def minimize_over_corr(
         config=config,
         n_starts=n_starts,
         master_seed=master_seed,
-        x0_first=warm_start,
     )
     best = min(records, key=lambda r: r.f_best)
     return angles_to_corr(best.x_best), records
 
 
-def check_correlation(C: np.ndarray, eig_floor: float = 0.0) -> None:
-    """Raise unless C is finite and symmetric with unit diagonal and min
-    eigenvalue > floor."""
+def check_correlation(C: np.ndarray) -> None:
+    """Raise unless C is finite and symmetric with unit diagonal and a
+    positive minimum eigenvalue."""
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DomainMismatchError("correlation matrix must be square")
@@ -366,5 +362,5 @@ def check_correlation(C: np.ndarray, eig_floor: float = 0.0) -> None:
         raise ValueError("diagonal deviates from 1 by more than 1e-12")
     if np.abs(C).max() > 1.0:
         raise ValueError("entries outside [-1, 1]")
-    if np.linalg.eigvalsh(C).min() <= eig_floor:
-        raise NotPositiveDefiniteError("minimum eigenvalue not above floor")
+    if np.linalg.eigvalsh(C).min() <= 0.0:
+        raise NotPositiveDefiniteError("minimum eigenvalue not positive")

@@ -87,7 +87,8 @@ class OptimizerConfig:
     Derived defaults: ``c = 0.001*ln(n)``, ``max_iters = round(3000*ln(n))``
     and ``stagnation_window = 4n``, with ``ln(max(n, 2))`` replacing ``ln(n)``
     so one-dimensional problems keep a positive temperature and budget.  The
-    2n direction weights always start equal.  Every number must be finite.
+    2n direction weights always start equal.  Every number must be finite,
+    and ``max_iters`` and ``stagnation_window`` are integers.
     ``r`` is the exploration radius: ``None`` draws each exploration step up
     to the bound it faces, a positive ``r`` draws it up to ``r``.
     """
@@ -119,10 +120,12 @@ class OptimizerConfig:
             raise ValueError("c must be positive and finite")
         if self.r is not None and not 0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
-        if self.max_iters is not None and not self.max_iters >= 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.stagnation_window is not None and not self.stagnation_window >= 1:
-            raise ValueError("stagnation_window must be >= 1")
+        # the loop compares and indexes with these counts, so a float would
+        # never stop the run or fail mid-run
+        for name in ("max_iters", "stagnation_window"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be nonnegative and finite")
 

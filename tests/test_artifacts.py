@@ -12,13 +12,13 @@ from glasd.artifacts import (
     load_optimizer_overrides,
     load_scenario_config,
     make_loss_spec,
-    read_matrix_csv,
     write_csv,
     write_json,
     write_matrix_csv,
     write_trace_csv,
 )
 from glasd.errors import ConfigError, MalformedDataError
+from glasd.losses import read_data_csv
 from glasd.optimizer import OptimizerConfig
 from glasd.simulate import STRUCTURE_KINDS, ScenarioSpec, StructureSpec
 
@@ -30,9 +30,9 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         names = [f"v{i}" for i in range(5)]
         write_matrix_csv(path, C, names)
-        back, names_back = read_matrix_csv(path)
-        assert names_back == names
-        assert np.array_equal(back, C)  # 17 significant digits round-trip floats
+        back = read_data_csv(path)
+        assert back.names() == names
+        assert np.array_equal(back.values, C)  # 17 significant digits round-trip floats
 
     def test_fmt_roundtrip_extremes(self):
         for v in (1 / 3, 1e-300, -1.2345678901234567e17, 5.15e-11):
@@ -45,7 +45,7 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         path.write_text(text)
         with pytest.raises(MalformedDataError):
-            read_matrix_csv(path)
+            read_data_csv(path)
 
 
 class TestWriteCsv:
@@ -233,6 +233,13 @@ class TestOptimizerOverrides:
         path = tmp_path / "o.ini"
         path.write_text("[optimizer]\nmax_iters = 42\ns_inc = 3.0\n")
         assert load_optimizer_overrides(path) == {"max_iters": 42, "s_inc": 3.0}
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "o.ini"
+        path.write_bytes(b"\xef\xbb\xbf[optimizer]\nmax_iters = 42\n")
+        assert load_optimizer_overrides(path) == {"max_iters": 42}
+        path.write_bytes(b"\xef\xbb\xbf" + SCENARIO_INI.encode())
+        assert load_scenario_config(path).optimizer.max_iters == 300
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "o.ini"

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import assert_dirs_match
-from glasd.artifacts import read_matrix_csv
 from glasd.benchmarks import BenchmarkSpec, corr_objective
 from glasd.cli import main
+from glasd.losses import read_data_csv
 from glasd.manifold import angles_to_corr, default_angle_box
 from glasd.optimizer import derive_seeds, random_search_minimize
 from glasd.simulate import StructureSpec, gen_structure, sample_data
@@ -40,7 +40,7 @@ class TestOptimizeCommand:
         assert record["master_seed"] == 7
         assert len(record["start_seeds"]) == 3
         # the matrix is the one of the best start's angles, bit for bit
-        C, _ = read_matrix_csv(out / "best_matrix.csv")
+        C = read_data_csv(out / "best_matrix.csv").values
         angles = [float(v) for v in (out / "best_angles.csv").read_text().split(",")]
         assert np.array_equal(C, angles_to_corr(np.array(angles)))
         for start in record["per_start"]:
@@ -189,9 +189,9 @@ class TestEstimateCommand:
         code = main(["estimate", str(data), "--loss", "gaussian", "--starts", "2",
                      "--seed", "0", "--out", str(out), "--max-iters", "2000"])
         assert code == 0
-        C, names = read_matrix_csv(out / "corr.csv")
-        assert names == ["a", "b"]
-        assert C[0, 1] >= 0.99
+        fit = read_data_csv(out / "corr.csv")
+        assert fit.names() == ["a", "b"]
+        assert fit.values[0, 1] >= 0.99
 
     def test_clean_data_close_to_truth(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -200,7 +200,7 @@ class TestEstimateCommand:
         code = main(["estimate", str(data), "--loss", "gaussian", "--starts", "2",
                      "--seed", "2", "--out", str(out), "--max-iters", "1500"])
         assert code == 0
-        C, _ = read_matrix_csv(out / "corr.csv")
+        C = read_data_csv(out / "corr.csv").values
         assert np.abs(C - C_true).max() < 0.05
         record = json.loads((out / "run.json").read_text())
         assert record["threshold"] is None
@@ -234,6 +234,25 @@ class TestEstimateCommand:
         assert code == 0
         record = json.loads((out / "run.json").read_text())
         assert math.isfinite(record["threshold"]) and record["threshold"] > 0
+
+    def test_byte_order_mark_keeps_every_row(self, tmp_path):
+        # the same fit as from the file without the mark: no row is lost
+        plain = tmp_path / "plain.csv"
+        write_clean_csv(plain, p=4, n=60, seed=8, header=False)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        corrs = []
+        for data in (plain, marked):
+            out = tmp_path / data.stem
+            code = main(["estimate", str(data), "--starts", "1", "--seed", "3",
+                         "--out", str(out), "--max-iters", "200"])
+            assert code == 0
+            record = json.loads((out / "run.json").read_text())
+            assert record["n"] == 60
+            fit = read_data_csv(out / "corr.csv")
+            assert fit.names() == ["x1", "x2", "x3", "x4"]
+            corrs.append(fit.values)
+        assert np.array_equal(*corrs)
 
     def test_fixed_threshold(self, tmp_path):
         data = tmp_path / "d.csv"

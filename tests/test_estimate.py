@@ -48,11 +48,12 @@ class TestEstimateCorrelation:
         fits = [estimate_correlation(Xs, LossSpec("gaussian"), config=cfg, n_starts=2)
                 for _ in range(2)]
         assert [f.seed for f in fits] == [5, 5]
-        assert fits[0].start_seeds == fits[1].start_seeds == derive_seeds(5, 2)
+        seeds = [[r.seed for r in fit.records] for fit in fits]
+        assert seeds[0] == seeds[1] == derive_seeds(5, 2)
         assert np.array_equal(fits[0].corr, fits[1].corr)
         fit = estimate_correlation(Xs, LossSpec("gaussian"), config=cfg, n_starts=2,
                                    master_seed=6)
-        assert fit.seed == 6 and fit.start_seeds == derive_seeds(6, 2)
+        assert fit.seed == 6 and [r.seed for r in fit.records] == derive_seeds(6, 2)
 
     def test_iqr_auto_cutoff_on_three_rows(self):
         # the reported cutoff takes the objective's quartile rule, which,
@@ -67,7 +68,7 @@ class TestEstimateCorrelation:
         fit = estimate_correlation(Xs, LossSpec("gaussian"), config=FAST,
                                    n_starts=3, master_seed=1)
         assert fit.f_best == min(r.f_best for r in fit.records)
-        assert len(fit.start_seeds) == 3
+        assert len(fit.records) == 3
 
     def test_robust_threshold_frozen_and_reported(self):
         _, Xs = make_clean_data(n=300, seed=2)

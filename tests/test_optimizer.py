@@ -78,6 +78,20 @@ class TestOptimizerConfig:
         assert OptimizerConfig(r=0.05).r == 0.05
         assert OptimizerConfig().r is None
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, math.inf, "3"])
+    @pytest.mark.parametrize("name", ["max_iters", "stagnation_window"])
+    def test_counts_must_be_integers(self, name, value):
+        # a float max_iters never ends the loop; a float window fails mid-run
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OptimizerConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = OptimizerConfig(max_iters=np.int64(7), stagnation_window=np.int32(100),
+                              epsilon=0.0, seed=0)
+        record = glasd_minimize(lambda x: float(x @ x), BoxDomain([-1.0], [1.0]),
+                                x0=[0.5], config=cfg)
+        assert record.iterations == 7 and record.termination == "max-iterations"
+
 
 class TestAcceptanceProb:
     def test_caps_at_one(self):
