@@ -134,21 +134,17 @@ def _parse_section(section, schema, where):
     return out
 
 
-def _optimizer_section(parser, seed_from: str) -> dict:
-    """The [optimizer] section as OptimizerConfig kwargs.  ``seed`` is refused:
-    every search seed derives from ``seed_from``, which would silently win."""
+def _optimizer_section(parser) -> dict:
+    """The [optimizer] section as OptimizerConfig kwargs; its keys are the
+    OptimizerConfig fields, which hold no seed."""
     if "optimizer" not in parser:
         return {}
-    opt = _parse_section(parser["optimizer"], _OPTIMIZER_KEYS, "optimizer")
-    if "seed" in opt:
-        raise ConfigError(f"seed is not allowed in the [optimizer] section; the "
-                          f"search seeds derive from {seed_from}")
-    return opt
+    return _parse_section(parser["optimizer"], _OPTIMIZER_KEYS, "optimizer")
 
 
 def load_optimizer_overrides(path) -> dict:
     """Read the [optimizer] section of an INI file into OptimizerConfig kwargs."""
-    return _optimizer_section(_read_ini(path), "the master seed; set it with --seed")
+    return _optimizer_section(_read_ini(path))
 
 
 def optimizer_config_from(overrides: dict) -> OptimizerConfig:
@@ -206,7 +202,7 @@ def load_scenario_config(path) -> ScenarioSpec:
     st = _parse_section(parser["structure"], _STRUCTURE_KEYS, "structure")
     co = (_parse_section(parser["contamination"], _CONTAMINATION_KEYS, "contamination")
           if "contamination" in parser else {})
-    opt = _optimizer_section(parser, "[scenario] master_seed")
+    opt = _optimizer_section(parser)
     if "kind" not in st:
         raise ConfigError("structure section needs a 'kind'")
     if "p" not in sc or "n" not in sc:

@@ -162,23 +162,20 @@ def _search_record(config: OptimizerConfig, records: list[RunRecord], master_see
                    dim: int) -> dict:
     """The keys result.json and run.json share: the starts with their seeds and
     counters, and the configuration as given and as resolved at search
-    dimension ``dim``, without ``seed``: each search derives its own."""
-    resolved = asdict(config.resolved(dim))
-    del resolved["seed"]
+    dimension ``dim``."""
     return {
         "n_starts": len(records),
         "master_seed": master_seed,
-        "start_seeds": [r.seed for r in records],
         "per_start": [{"seed": r.seed, "f_best": r.f_best, "termination": r.termination,
                        **r.counters()} for r in records],
         "optimizer_config": asdict(config),
-        "optimizer_config_resolved": resolved,
+        "optimizer_config_resolved": asdict(config.resolved(dim)),
     }
 
 
 def cmd_optimize(args) -> int:
     config = _optimizer_config(args)
-    master_seed = _resolve_seed(args.seed, config)
+    master_seed = _resolve_seed(args.seed)
     size = args.M if args.variant == "corr" else args.dim
     spec = _benchmark_spec(args.fn, args.variant, size)
     out = ensure_outdir(args.out, "result.json", args.force)
@@ -212,7 +209,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = _optimizer_config(args)
-    master_seed = _resolve_seed(args.seed, config)
+    master_seed = _resolve_seed(args.seed)
     size = args.M if args.variant == "corr" else args.dim
     names = sorted(BENCHMARKS) if args.fn == "all" else [t.strip() for t in args.fn.split(",")]
     specs = [_benchmark_spec(name, args.variant, size) for name in names]
@@ -257,7 +254,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _optimizer_config(args)
-    master_seed = _resolve_seed(args.seed, config)
+    master_seed = _resolve_seed(args.seed)
     spec = make_loss_spec(args.loss, args.threshold)
     data = read_data_csv(args.data)
     out = ensure_outdir(args.out, "run.json", args.force)

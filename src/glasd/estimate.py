@@ -40,12 +40,12 @@ def estimate_correlation(
     """Fit a correlation matrix to standardized data under the given loss.
 
     ``X_std`` must already be column-standardized.  ``n_starts`` restarts are
-    seeded from ``master_seed``, else from ``config.seed``, else from a fresh
-    seed; the first restart is warm-started from the positive-definite-repaired
-    sample correlation.  The reported threshold is the d^2-scale cutoff in
-    force at the returned solution: for 'iqr-auto', Q3 + 3*IQR of the squared
-    distances under the best angles' factor; the number itself for a fixed or
-    pilot-frozen threshold; None for gaussian.
+    seeded from ``master_seed``, else from a fresh seed; the first restart is
+    warm-started from the positive-definite-repaired sample correlation.  The
+    reported threshold is the d^2-scale cutoff in force at the returned
+    solution: for 'iqr-auto', Q3 + 3*IQR of the squared distances under the
+    best angles' factor; the number itself for a fixed or pilot-frozen
+    threshold; None for gaussian.
 
     The returned matrix passes :func:`check_correlation`, else this raises
     NotPositiveDefiniteError: a frozen truncated or biweight cutoff leaves the
@@ -56,7 +56,7 @@ def estimate_correlation(
     spec = resolved_spec(X_std, spec, pilot)
     warm = corr_to_angles(pilot)
 
-    master_seed = _resolve_seed(master_seed, config)
+    master_seed = _resolve_seed(master_seed)
     records = multi_start_minimize(
         AngleObjective(X_std, spec), default_angle_box(X_std.shape[1]), config=config,
         n_starts=n_starts, master_seed=master_seed, x0_first=warm,

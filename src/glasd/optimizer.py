@@ -105,7 +105,6 @@ class OptimizerConfig:
     stagnation_window: int | None = None
     epsilon: float = 1e-20
     explore_enabled: bool = True
-    seed: int | None = None
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -246,15 +245,11 @@ class _DirectionWeights:
         return np.array(self.tree[self.size:self.size + self.k])
 
 
-def _fresh_seed() -> int:
+def _resolve_seed(seed: int | None) -> int:
+    """The seed rule: the given ``seed``, else a fresh one."""
+    if seed is not None:
+        return seed
     return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
-
-
-def _resolve_seed(seed: int | None, config: OptimizerConfig | None) -> int:
-    """The seed rule: an explicit ``seed``, else ``config.seed``, else a fresh one."""
-    if seed is None and config is not None:
-        seed = config.seed
-    return seed if seed is not None else _fresh_seed()
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
@@ -269,21 +264,22 @@ class Search:
     and stall rules, and ``record()`` returns the :class:`RunRecord` once
     ``done``.  Tell each point before the next ask, and do not modify it.
 
-    The first ``ask()`` returns the start point, ``x0`` or a uniform draw
-    under the run seed.  A nonfinite value there raises
-    ObjectiveEvaluationError for ``x0``; a drawn start is redrawn from the
-    run's RNG, at most ``START_REDRAWS`` times.  Later points are proposals
-    one coordinate, ``moved``, away from ``x``; a nonfinite value rejects a
-    proposal.  ``x``, ``f`` and ``moved`` (None until set), ``x_best``,
-    ``f_best``, ``t``, ``termination`` and the record's counters are public.
+    The run seed is ``seed``, else a fresh one.  The first ``ask()`` returns
+    the start point, ``x0`` or a uniform draw under the run seed.  A nonfinite
+    value there raises ObjectiveEvaluationError for ``x0``; a drawn start is
+    redrawn from the run's RNG, at most ``START_REDRAWS`` times.  Later points
+    are proposals one coordinate, ``moved``, away from ``x``; a nonfinite
+    value rejects a proposal.  ``x``, ``f`` and ``moved`` (None until set),
+    ``x_best``, ``f_best``, ``t``, ``termination`` and the record's counters
+    are public.
     """
 
     def __init__(self, domain: BoxDomain,
                  x0: Sequence[float] | np.ndarray | None = None,
-                 config: OptimizerConfig | None = None):
+                 config: OptimizerConfig | None = None, seed: int | None = None):
         n = domain.dim
         self.config = cfg = (config if config is not None else OptimizerConfig()).resolved(n)
-        self.seed = _resolve_seed(None, cfg)
+        self.seed = _resolve_seed(seed)
         self._rng = np.random.default_rng(self.seed)
         self._domain = domain
         self._x0_given = x0 is not None
@@ -428,6 +424,7 @@ def glasd_minimize(
     domain: BoxDomain,
     x0: Sequence[float] | np.ndarray | None = None,
     config: OptimizerConfig | None = None,
+    seed: int | None = None,
 ) -> RunRecord:
     """Minimize ``f`` over ``domain`` by globally-explorative adaptive descent.
 
@@ -437,17 +434,19 @@ def glasd_minimize(
     point.  An ``f`` with methods ``move(x, i)`` and ``accept()`` is called
     as ``move(x, i)`` for a proposal ``x``, the current point with coordinate
     ``i`` moved, and ``accept()`` follows each proposal the search accepts.
-    ``x0`` is a feasible start, drawn from the box under the run seed when
-    omitted.  ``config``'s dimension-dependent defaults are resolved for
-    ``domain``.  Returns the run's :class:`RunRecord`.
+    ``x0`` is a feasible start, drawn from the box under the run seed
+    (``seed``, else a fresh one) when omitted.  ``config``'s
+    dimension-dependent defaults are resolved for ``domain``.  Returns the
+    run's :class:`RunRecord`.
     """
-    return _drive(Search(domain, x0, config), f)
+    return _drive(Search(domain, x0, config, seed), f)
 
 
-def asd_minimize(f, domain, x0=None, config=None) -> RunRecord:
+def asd_minimize(f, domain, x0=None, config=None, seed=None) -> RunRecord:
     """Exploration-free variant: every iteration is a greedy adaptive step."""
     cfg = config if config is not None else OptimizerConfig()
-    return glasd_minimize(f, domain, x0=x0, config=replace(cfg, explore_enabled=False))
+    return glasd_minimize(f, domain, x0=x0, config=replace(cfg, explore_enabled=False),
+                          seed=seed)
 
 
 def multi_start_minimize(
@@ -455,7 +454,7 @@ def multi_start_minimize(
     master_seed: int | None = None, x0_first=None,
 ) -> list[RunRecord]:
     """``n_starts`` independent restarts with per-run seeds derived from one
-    master seed: ``master_seed``, else ``config.seed``, else a fresh seed.
+    master seed: ``master_seed``, else a fresh seed.
 
     The first run may be given an explicit start (warm start); all others
     start from a uniform draw under their own seed, and runs as in
@@ -463,9 +462,8 @@ def multi_start_minimize(
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    cfg = config if config is not None else OptimizerConfig()
-    seeds = derive_seeds(_resolve_seed(master_seed, config), n_starts)
-    return [_drive(Search(domain, x0_first if k == 0 else None, replace(cfg, seed=run_seed)), f)
+    seeds = derive_seeds(_resolve_seed(master_seed), n_starts)
+    return [_drive(Search(domain, x0_first if k == 0 else None, config, run_seed), f)
             for k, run_seed in enumerate(seeds)]
 
 
@@ -473,7 +471,7 @@ def random_search_minimize(
     f, domain: BoxDomain, max_iters: int, seed: int | None = None,
 ) -> RunRecord:
     """Uniform random search baseline; same record format as the main solver."""
-    seed = _resolve_seed(seed, None)
+    seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     f_best = math.inf
     x_best = None

@@ -114,7 +114,7 @@ def test_criterion_03_convex_sanity():
     t0 = time.perf_counter()
     dom = BoxDomain(np.full(10, -10.0), np.full(10, 10.0))
     hits = sum(
-        glasd_minimize(sumsquares, dom, config=OptimizerConfig(seed=seed)).f_best <= 1e-6
+        glasd_minimize(sumsquares, dom, seed=seed).f_best <= 1e-6
         for seed in range(10)
     )
     elapsed = time.perf_counter() - t0
@@ -205,7 +205,7 @@ def test_criterion_08_asd_geometric_decay():
     dom = BoxDomain(np.full(5, -2.0), np.full(5, 2.0))
     curves = []
     for seed in range(20):
-        rec = asd_minimize(f, dom, config=OptimizerConfig(seed=seed))
+        rec = asd_minimize(f, dom, seed=seed)
         fb = rec.trace[:, 2]
         drops = np.flatnonzero(np.diff(fb) < 0) + 1
         vals = fb[drops]
@@ -272,8 +272,8 @@ def test_criterion_10_invariant_fuzz():
         f = objectives[case % len(objectives)]
         seen = []
         wrapped = lambda x: (seen.append(x.copy()), f(x))[1]
-        cfg = OptimizerConfig(seed=int(rng.integers(0, 2**63)), max_iters=300)
-        rec = glasd_minimize(wrapped, dom, config=cfg)
+        seed = int(rng.integers(0, 2**63))
+        rec = glasd_minimize(wrapped, dom, config=OptimizerConfig(max_iters=300), seed=seed)
         pts = np.array(seen)
         feasible = (pts >= lo).all() and (pts <= hi).all()
         monotone = (np.diff(rec.trace[:, 2]) <= 0).all()

@@ -153,11 +153,11 @@ class TestScenarioConfig:
             load_scenario_config(path)
 
     def test_optimizer_seed_rejected(self, tmp_path):
-        # run_scenario derives one search seed per loss from master_seed, so
-        # an [optimizer] seed would be silently overridden
+        # run_scenario derives one search seed per loss from master_seed, and
+        # the [optimizer] keys are the OptimizerConfig fields, which hold no seed
         path = tmp_path / "s.ini"
         path.write_text(SCENARIO_INI.replace("max_iters = 300", "max_iters = 300\nseed = 99"))
-        with pytest.raises(ConfigError, match="master_seed"):
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
             load_scenario_config(path)
 
     def test_readme_example_loads(self, tmp_path):
@@ -206,7 +206,7 @@ class TestOptimizerOverrides:
             "s_init": float, "s_inc": float, "s_dec": float, "p_inc": float,
             "p_dec": float, "m": int, "c": float, "r": float,
             "max_iters": int, "stagnation_window": int, "epsilon": float,
-            "explore_enabled": bool, "seed": int,
+            "explore_enabled": bool,
         }
         assert list(_OPTIMIZER_KEYS) == [f.name for f in fields(OptimizerConfig)]
 

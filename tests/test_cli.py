@@ -38,7 +38,7 @@ class TestOptimizeCommand:
         record = json.loads((out / "result.json").read_text())
         assert "min_value" in record and record["min_value"] >= 0
         assert record["master_seed"] == 7
-        assert len(record["start_seeds"]) == 3
+        assert len(record["per_start"]) == 3
         # the matrix is the one of the best start's angles, bit for bit
         C = read_data_csv(out / "best_matrix.csv").values
         angles = [float(v) for v in (out / "best_angles.csv").read_text().split(",")]
@@ -219,7 +219,7 @@ class TestEstimateCommand:
         assert record["threshold"] > 0
         assert record["threshold_policy"] == "iqr"
         # the per-start records of optimize's result.json
-        assert [s["seed"] for s in record["per_start"]] == record["start_seeds"]
+        assert [s["seed"] for s in record["per_start"]] == derive_seeds(3, 2)
         assert min(s["f_best"] for s in record["per_start"]) == record["f_best"]
         for start in record["per_start"]:
             assert start["evaluations"] == start["iterations"] + 1
@@ -351,7 +351,8 @@ def test_malformed_ini_exit_2_before_output(tmp_path, capsys, command, how):
 
 class TestConfigSeed:
     def test_optimizer_seed_rejected(self, tmp_path, capsys):
-        # the search seeds derive from the master seed alone
+        # the search seeds derive from the master seed alone, so seed is no
+        # [optimizer] key
         ini = tmp_path / "opt.ini"
         ini.write_text("[optimizer]\nmax_iters = 50\nseed = 99\n")
         data = tmp_path / "d.csv"
@@ -362,7 +363,7 @@ class TestConfigSeed:
             out = tmp_path / argv[0]
             assert main(argv + ["--config", str(ini), "--seed", "5",
                                 "--out", str(out)]) == 2
-            assert "--seed" in capsys.readouterr().err
+            assert "unknown key 'seed'" in capsys.readouterr().err
             assert not out.exists()
 
 

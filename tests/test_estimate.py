@@ -41,11 +41,13 @@ class TestEstimateCorrelation:
         assert fit.threshold is None
 
     def test_config_seed_is_the_master_seed(self):
-        # an explicit master seed wins over config.seed, which wins over a
-        # fresh seed, as in multi_start_minimize
+        # the master seed is a fit's one seed: the config holds none
+        with pytest.raises(TypeError):
+            OptimizerConfig(seed=5)
         _, Xs = make_clean_data(n=200)
-        cfg = OptimizerConfig(max_iters=50, seed=5)
-        fits = [estimate_correlation(Xs, LossSpec("gaussian"), config=cfg, n_starts=2)
+        cfg = OptimizerConfig(max_iters=50)
+        fits = [estimate_correlation(Xs, LossSpec("gaussian"), config=cfg, n_starts=2,
+                                     master_seed=5)
                 for _ in range(2)]
         assert [f.seed for f in fits] == [5, 5]
         seeds = [[r.seed for r in fit.records] for fit in fits]

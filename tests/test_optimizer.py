@@ -39,9 +39,9 @@ def probabilities(search):
     return w / w.sum()
 
 
-def started(domain, f, x0=None, config=None):
+def started(domain, f, x0=None, config=None, seed=None):
     """A Search whose start point has been evaluated with f."""
-    search = Search(domain, x0, config)
+    search = Search(domain, x0, config, seed)
     search.tell(f(search.ask()))
     return search
 
@@ -87,9 +87,9 @@ class TestOptimizerConfig:
 
     def test_numpy_integer_counts_accepted(self):
         cfg = OptimizerConfig(max_iters=np.int64(7), stagnation_window=np.int32(100),
-                              epsilon=0.0, seed=0)
+                              epsilon=0.0)
         record = glasd_minimize(lambda x: float(x @ x), BoxDomain([-1.0], [1.0]),
-                                x0=[0.5], config=cfg)
+                                x0=[0.5], config=cfg, seed=0)
         assert record.iterations == 7 and record.termination == "max-iterations"
 
 
@@ -143,7 +143,7 @@ class TestGlasd:
     def test_convex_quadratic(self):
         # stochastic example; fixed seed known to refine below 1e-6
         dom = BoxDomain(np.full(4, -5.0), np.full(4, 5.0))
-        rec = glasd_minimize(sphere, dom, x0=np.ones(4), config=OptimizerConfig(seed=4))
+        rec = glasd_minimize(sphere, dom, x0=np.ones(4), seed=4)
         assert rec.f_best <= 1e-6
 
     def test_staircase_matches_grid_oracle(self):
@@ -152,8 +152,8 @@ class TestGlasd:
         grid = np.linspace(0.0, 1.0, 10_001)
         oracle = min(float(np.floor(4 * g)) for g in grid)
         dom = BoxDomain([0.0], [1.0])
-        cfg = OptimizerConfig(seed=5, epsilon=0.0)  # discontinuity: run the full budget
-        rec = glasd_minimize(f, dom, x0=[0.9], config=cfg)
+        cfg = OptimizerConfig(epsilon=0.0)  # discontinuity: run the full budget
+        rec = glasd_minimize(f, dom, x0=[0.9], config=cfg, seed=5)
         assert rec.f_best == oracle == 0.0
 
     def test_dimension_mismatch(self):
@@ -170,7 +170,7 @@ class TestGlasd:
 
         with pytest.raises(ObjectiveEvaluationError) as err:
             glasd_minimize(bad, BoxDomain([0.0], [1.0]), x0=[0.5],
-                           config=OptimizerConfig(seed=0))
+                           seed=0)
         assert err.value.point is not None
 
     def test_nonfinite_proposals_are_rejected(self):
@@ -188,7 +188,7 @@ class TestGlasd:
         dom = BoxDomain(np.full(3, -5.0), np.full(3, 5.0))
         seen = {True: 0, False: 0}
         for seed in range(20):
-            search = started(dom, f, x0=[1.0, 1.9, -3.9], config=OptimizerConfig(seed=seed))
+            search = started(dom, f, x0=[1.0, 1.9, -3.9], seed=seed)
             told = 0
             while not search.done:
                 x_before, f_before, explore_before = search.x, search.f, search.explore
@@ -217,14 +217,13 @@ class TestGlasd:
     def test_nonfinite_start_raises(self, bad):
         with pytest.raises(ObjectiveEvaluationError) as err:
             glasd_minimize(lambda x: bad, BoxDomain([0.0], [1.0]), x0=[0.5],
-                           config=OptimizerConfig(seed=0))
+                           seed=0)
         assert err.value.point is not None
 
     def test_determinism(self):
         dom = BoxDomain(np.full(3, -2.0), np.full(3, 2.0))
-        cfg = OptimizerConfig(seed=77)
-        a = glasd_minimize(sphere, dom, config=cfg)
-        b = glasd_minimize(sphere, dom, config=cfg)
+        a = glasd_minimize(sphere, dom, seed=77)
+        b = glasd_minimize(sphere, dom, seed=77)
         assert np.array_equal(a.trace, b.trace)
         assert np.array_equal(a.x_best, b.x_best)
         assert a.f_best == b.f_best
@@ -232,7 +231,7 @@ class TestGlasd:
 
     def test_trace_monotone_and_eval_count(self):
         dom = BoxDomain(np.full(3, -2.0), np.full(3, 2.0))
-        rec = glasd_minimize(sphere, dom, config=OptimizerConfig(seed=4))
+        rec = glasd_minimize(sphere, dom, seed=4)
         fb = rec.trace[:, 2]
         assert (np.diff(fb) <= 0).all()
         assert rec.evaluations == rec.iterations + 1
@@ -244,7 +243,7 @@ class TestGlasd:
         dom = BoxDomain(np.array([-1.0, 0.0]), np.array([1.0, 3.0]))
         seen = []
         wrapped = lambda x: (seen.append(x.copy()), sphere(x))[1]
-        glasd_minimize(wrapped, dom, x0=[0.2, 1.0], config=OptimizerConfig(seed=9))
+        glasd_minimize(wrapped, dom, x0=[0.2, 1.0], seed=9)
         pts = np.array(seen)
         assert (pts >= dom.lower).all() and (pts <= dom.upper).all()
         # interior start stays strictly interior under the half-gap rule
@@ -255,8 +254,9 @@ class TestGlasd:
         # one coordinate by at most r from the current point and stays in the box
         r = 0.05
         dom = BoxDomain(np.full(3, -10.0), np.full(3, 10.0))
-        cfg = OptimizerConfig(seed=8, r=r, max_iters=2000, epsilon=0.0)
-        search = started(dom, lambda x: sphere(x - 3.0), x0=[9.9, 0.0, -9.9], config=cfg)
+        cfg = OptimizerConfig(r=r, max_iters=2000, epsilon=0.0)
+        search = started(dom, lambda x: sphere(x - 3.0), x0=[9.9, 0.0, -9.9], config=cfg,
+                         seed=8)
         moves = []
         while not search.done:
             before, explore_before = search.x, search.explore
@@ -274,7 +274,7 @@ class TestGlasd:
     def test_probability_vector_invariant(self):
         sums, mins = [], []
         dom = BoxDomain(np.full(4, -3.0), np.full(4, 3.0))
-        search = started(dom, sphere, config=OptimizerConfig(seed=13))
+        search = started(dom, sphere, seed=13)
         while not search.done:
             explore_before = search.explore
             search.tell(sphere(search.ask()))
@@ -291,8 +291,8 @@ class TestGlasd:
         # about a thousand accepts
         values = itertools.count()
         f = lambda x: -float(next(values))
-        cfg = OptimizerConfig(seed=3, max_iters=5000, epsilon=0.0, explore_enabled=False)
-        search = started(BoxDomain([0.0], [1.0]), f, x0=[0.5], config=cfg)
+        cfg = OptimizerConfig(max_iters=5000, epsilon=0.0, explore_enabled=False)
+        search = started(BoxDomain([0.0], [1.0]), f, x0=[0.5], config=cfg, seed=3)
         probs = []
         while not search.done:
             search.tell(f(search.ask()))
@@ -309,8 +309,8 @@ class TestGlasd:
         dom = BoxDomain([-1.0], [1.0])
         rng = np.random.default_rng(1)
         noise = lambda x: float(rng.standard_normal())
-        cfg = OptimizerConfig(seed=2, m=5, max_iters=120_000, epsilon=0.0)
-        rec = glasd_minimize(noise, dom, config=cfg)
+        cfg = OptimizerConfig(m=5, max_iters=120_000, epsilon=0.0)
+        rec = glasd_minimize(noise, dom, config=cfg, seed=2)
         n = rec.iterations
         assert n >= 100_000
         frac = rec.explore / n
@@ -319,8 +319,8 @@ class TestGlasd:
 
     def test_x0_drawn_from_seed_when_omitted(self):
         dom = BoxDomain(np.full(2, -1.0), np.full(2, 1.0))
-        a = glasd_minimize(sphere, dom, config=OptimizerConfig(seed=5, max_iters=5))
-        b = glasd_minimize(sphere, dom, config=OptimizerConfig(seed=5, max_iters=5))
+        a = glasd_minimize(sphere, dom, config=OptimizerConfig(max_iters=5), seed=5)
+        b = glasd_minimize(sphere, dom, config=OptimizerConfig(max_iters=5), seed=5)
         assert np.array_equal(a.trace, b.trace)
 
 
@@ -340,10 +340,10 @@ class TestSearch:
         # m = 1 explores at every iteration; c = 10 accepts every finite
         # non-improving exploration move for the first e^(10m) iterations
         dom = BoxDomain(np.full(n, -1.0), np.full(n, 2.0))
-        cfg = OptimizerConfig(seed=seed, explore_enabled=explore_enabled, m=m, c=c,
+        cfg = OptimizerConfig(explore_enabled=explore_enabled, m=m, c=c,
                               r=0.3 if fixed_r else None, stagnation_window=window,
                               max_iters=len(values))
-        search = Search(dom, config=cfg)
+        search = Search(dom, config=cfg, seed=seed)
         search.tell(start)
         nonfinite, lowest = 0, start
         for value in values:
@@ -380,7 +380,7 @@ class TestSearch:
             return math.nan if len(calls) <= 3 else sphere(x)
 
         dom = BoxDomain(np.full(2, -1.0), np.full(2, 1.0))
-        rec = glasd_minimize(f, dom, config=OptimizerConfig(seed=5, max_iters=30))
+        rec = glasd_minimize(f, dom, config=OptimizerConfig(max_iters=30), seed=5)
         assert len({tuple(x) for x in calls[:4]}) == 4
         assert all(dom.contains(x) for x in calls[:4])
         assert rec.trace[0, 2] == sphere(calls[3])
@@ -392,13 +392,13 @@ class TestSearch:
         calls = []
         with pytest.raises(ObjectiveEvaluationError) as err:
             glasd_minimize(lambda x: (calls.append(1), math.inf)[1], BoxDomain([0.0], [1.0]),
-                           config=OptimizerConfig(seed=0))
+                           seed=0)
         assert len(calls) == START_REDRAWS + 1
         assert err.value.point is not None
 
     def test_misuse_raises(self):
         search = started(BoxDomain([0.0], [1.0]), sphere, x0=[0.5],
-                         config=OptimizerConfig(seed=0, max_iters=1))
+                         config=OptimizerConfig(max_iters=1), seed=0)
         with pytest.raises(RuntimeError):
             search.tell(1.0)                 # no point asked
         search.tell(sphere(search.ask()))
@@ -455,21 +455,21 @@ class TestDirectionWeights:
 class TestAsd:
     def test_1d_strongly_convex(self):
         rec = asd_minimize(lambda x: float((x[0] - 0.3) ** 2), BoxDomain([0.0], [1.0]),
-                           x0=[0.9], config=OptimizerConfig(seed=0))
+                           x0=[0.9], seed=0)
         assert rec.f_best <= 1e-10
 
     def test_constant_objective_stagnates(self):
         n = 1
         rec = asd_minimize(lambda x: 1.0, BoxDomain([0.0], [1.0]), x0=[0.5],
-                           config=OptimizerConfig(seed=0))
+                           seed=0)
         assert rec.f_best == 1.0
         assert rec.termination == "stagnation"
         assert rec.iterations == 4 * n  # window of consecutive rejections
 
     def test_strictly_decreasing_accepted_values(self):
         dom = BoxDomain(np.full(5, -4.0), np.full(5, 4.0))
-        cfg = OptimizerConfig(seed=21, explore_enabled=False)
-        search = started(dom, sphere, config=cfg)
+        cfg = OptimizerConfig(explore_enabled=False)
+        search = started(dom, sphere, config=cfg, seed=21)
         accepted = []
         while not search.done:
             accepts_before = search.greedy_accepts
@@ -482,7 +482,7 @@ class TestAsd:
         assert (np.diff(np.array(accepted)) < 0).all()
         assert rec.f_best == accepted[-1]
         # the ask/tell loop is the run asd_minimize makes
-        assert np.array_equal(asd_minimize(sphere, dom, config=OptimizerConfig(seed=21)).trace,
+        assert np.array_equal(asd_minimize(sphere, dom, seed=21).trace,
                               rec.trace)
 
     def test_geometric_decay_on_quadratic(self):
@@ -492,7 +492,7 @@ class TestAsd:
         dom = BoxDomain(np.full(5, -2.0), np.full(5, 2.0))
         curves = []
         for seed in range(20):
-            rec = asd_minimize(f, dom, config=OptimizerConfig(seed=seed))
+            rec = asd_minimize(f, dom, seed=seed)
             fb = rec.trace[:, 2]
             drops = np.flatnonzero(np.diff(fb) < 0) + 1
             vals = fb[drops]
@@ -527,8 +527,8 @@ class TestFuzzInvariants:
             f = objectives[case % len(objectives)]
             seen = []
             wrapped = lambda x: (seen.append(x.copy()), f(x))[1]
-            cfg = OptimizerConfig(seed=int(rng.integers(0, 2**32)), max_iters=400)
-            rec = glasd_minimize(wrapped, dom, config=cfg)
+            seed = int(rng.integers(0, 2**32))
+            rec = glasd_minimize(wrapped, dom, config=OptimizerConfig(max_iters=400), seed=seed)
             pts = np.array(seen)
             assert (pts >= lo).all() and (pts <= hi).all()
             assert (np.diff(rec.trace[:, 2]) <= 0).all()
