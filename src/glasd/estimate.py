@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import DegenerateDataError, NotPositiveDefiniteError
 from .losses import (AngleObjective, LossSpec, _iqr_cutoff, _sq_dist, _values,
                      pilot_correlation, resolved_spec)
 from .manifold import (angles_to_corr, check_correlation, cholesky_rows, corr_to_angles,
@@ -39,7 +39,9 @@ def estimate_correlation(
 ) -> EstimateResult:
     """Fit a correlation matrix to standardized data under the given loss.
 
-    ``X_std`` must already be column-standardized.  ``n_starts`` restarts are
+    ``X_std`` must already be column-standardized and have more rows than
+    columns, else this raises DegenerateDataError: with n <= p the data are
+    singular and every loss is unbounded below.  ``n_starts`` restarts are
     seeded from ``master_seed``, else from a fresh seed; the first restart is
     warm-started from the positive-definite-repaired sample correlation.  The
     reported threshold is the d^2-scale cutoff in force at the returned
@@ -48,17 +50,22 @@ def estimate_correlation(
     threshold; None for gaussian.
 
     The returned matrix passes :func:`check_correlation`, else this raises
-    NotPositiveDefiniteError: a frozen truncated or biweight cutoff leaves the
-    objective unbounded below toward singular matrices.
+    NotPositiveDefiniteError: a frozen truncated or biweight cutoff, or
+    (nearly) linearly dependent columns, leave the objective unbounded below
+    toward singular matrices.
     """
     X_std = _values(X_std)
+    n, p = X_std.shape
+    if n <= p:
+        raise DegenerateDataError(f"{n} rows for {p} columns: a fit needs more rows "
+                                  "than columns, else the data are singular")
     pilot = pilot_correlation(X_std)
     spec = resolved_spec(X_std, spec, pilot)
     warm = corr_to_angles(pilot)
 
     master_seed = _resolve_seed(master_seed)
     records = multi_start_minimize(
-        AngleObjective(X_std, spec), default_angle_box(X_std.shape[1]), config=config,
+        AngleObjective(X_std, spec), default_angle_box(p), config=config,
         n_starts=n_starts, master_seed=master_seed, x0_first=warm,
     )
     best = min(records, key=lambda r: r.f_best)
@@ -66,10 +73,11 @@ def estimate_correlation(
     try:
         check_correlation(corr)
     except NotPositiveDefiniteError as exc:
+        cause = ("linearly dependent columns leave" if spec.kind == "gaussian"
+                 else "a frozen cutoff or linearly dependent columns leave")
         raise NotPositiveDefiniteError(
             f"the {spec.kind} fit ended at a matrix that is not positive definite; "
-            "a frozen cutoff leaves the objective unbounded below toward singular "
-            "matrices") from exc
+            f"{cause} the objective unbounded below toward singular matrices") from exc
     thr = spec.threshold
     if thr == "iqr-auto":
         thr = _iqr_cutoff(np.sort(_sq_dist(X_std, cholesky_rows(best.x_best))))

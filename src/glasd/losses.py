@@ -14,11 +14,11 @@ policies exist:
 
 * ``iqr-auto`` (default): the cutoff is Q3 + 3*IQR of the squared distances
   under the candidate matrix itself, recomputed at every evaluation.  The
-  objective stays a deterministic function of (data, C); crucially it is
-  bounded below, because the bulk of the sample always sits on the quadratic
-  branch.  A frozen cutoff leaves the truncated and biweight objectives
-  unbounded: once every distance saturates, log det alone drives the fit to
-  a degenerate matrix.
+  objective stays a deterministic function of (data, C); crucially, for
+  data with more rows than columns it is bounded below, because the bulk of
+  the sample always sits on the quadratic branch.  A frozen cutoff leaves
+  the truncated and biweight objectives unbounded: once every distance
+  saturates, log det alone drives the fit to a degenerate matrix.
 * ``iqr-pilot``: the same rule evaluated once under a shrunk
   sample-correlation pilot and frozen for the whole optimization; kept for
   diagnostics and comparison.

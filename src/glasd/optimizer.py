@@ -80,6 +80,14 @@ class BoxDomain:
         return rng.uniform(self.lower, self.upper)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1.  The search loop
+    compares and indexes with its counts, so a float would never stop a run
+    or would fail it midway."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Tuning parameters.  ``None`` means "derive the default from the dimension".
@@ -119,12 +127,9 @@ class OptimizerConfig:
             raise ValueError("c must be positive and finite")
         if self.r is not None and not 0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
-        # the loop compares and indexes with these counts, so a float would
-        # never stop the run or fail mid-run
         for name in ("max_iters", "stagnation_window"):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1")
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name))
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be nonnegative and finite")
 
@@ -470,7 +475,9 @@ def multi_start_minimize(
 def random_search_minimize(
     f, domain: BoxDomain, max_iters: int, seed: int | None = None,
 ) -> RunRecord:
-    """Uniform random search baseline; same record format as the main solver."""
+    """Uniform random search baseline; same record format as the main solver.
+    ``max_iters`` is an integer >= 1, as in :class:`OptimizerConfig`."""
+    _check_count("max_iters", max_iters)
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     f_best = math.inf

@@ -140,8 +140,9 @@ class ScenarioSpec:
             raise ValueError("df must be finite and >= 1")
         if self.replicates < 1 or self.n_starts < 1:
             raise ValueError("replicates and n_starts must be >= 1")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        if self.n <= self.p:
+            raise ValueError(f"n = {self.n} must exceed p = {self.p}: with n <= p the "
+                             "data are singular")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         kinds = [ls.kind for ls in self.losses]

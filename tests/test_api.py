@@ -1,6 +1,9 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import glasd
 
@@ -20,3 +23,18 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's Python block as written, on a small data.csv with a header
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 3)) @ np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3],
+                                                 [0.0, 0.0, 1.0]])
+    np.savetxt(tmp_path / "data.csv", X, delimiter=",", header="a,b,c", comments="")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["fit"].corr.shape == (3, 3)
+    assert scope["rec"].seed == 0

@@ -282,6 +282,17 @@ class TestEstimateCommand:
         data.write_text("1,2\n3\n")
         assert main(["estimate", str(data), "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_no_more_rows_than_columns_exit_1_before_output(self, tmp_path, capsys, n):
+        data = tmp_path / "d.csv"
+        rows = np.random.default_rng(0).standard_normal((n, 8))
+        data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        out = tmp_path / "run"
+        assert main(["estimate", str(data), "--seed", "1", "--starts", "2",
+                     "--max-iters", "2000", "--out", str(out)]) == 1
+        assert f"{n} rows for 8 columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_column_exit_1(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("1,2\n1,3\n1,4\n1,5\n")
@@ -410,6 +421,15 @@ class TestSimulateCommand:
         out = tmp_path / "r"
         assert main(["simulate", str(cfg), "--out", str(out)]) == 2
         assert "at least one loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_no_more_rows_than_columns_exit_2_before_output(self, tmp_path, capsys, n):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SCENARIO_INI.replace("n = 60", f"n = {n}"))
+        out = tmp_path / "r"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert f"n = {n} must exceed p = 5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nonfinite_df_exit_2_before_output(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import glasd.estimate
 import glasd.losses
-from glasd.errors import NotPositiveDefiniteError
+from glasd.errors import DegenerateDataError, NotPositiveDefiniteError
 from glasd.estimate import estimate_correlation
 from glasd.losses import (
     LossSpec,
@@ -112,6 +112,42 @@ class TestEstimateCorrelation:
             estimate_correlation(standardize_columns(X), LossSpec("truncated", 6.5),
                                  config=OptimizerConfig(max_iters=1500),
                                  n_starts=3, master_seed=3)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("spec", [LossSpec("gaussian"), LossSpec("huber", "iqr-auto"),
+                                      LossSpec("huber", "iqr-pilot")],
+                             ids=["gaussian", "huber-iqr-auto", "huber-iqr-pilot"])
+    def test_no_more_rows_than_columns_raises(self, monkeypatch, n, spec):
+        # standardized data with n <= p lie in a proper subspace, where every
+        # loss is unbounded below toward a singular matrix; the fit refuses
+        # them before it builds the pilot
+        built = []
+        monkeypatch.setattr(glasd.estimate, "pilot_correlation",
+                            lambda X: built.append(1))
+        Xs = standardize_columns(np.random.default_rng(0).standard_normal((n, 8)))
+        with pytest.raises(DegenerateDataError, match=f"{n} rows for 8 columns"):
+            estimate_correlation(Xs, spec, config=OptimizerConfig(max_iters=2000),
+                                 n_starts=2, master_seed=0)
+        assert not built
+
+    def test_nine_rows_for_eight_columns_fit(self):
+        Xs = standardize_columns(np.random.default_rng(0).standard_normal((9, 8)))
+        fit = estimate_correlation(Xs, LossSpec("gaussian"), config=FAST, n_starts=1,
+                                   master_seed=0)
+        check_correlation(fit.corr)
+
+    def test_singular_gaussian_fit_blames_no_cutoff(self, monkeypatch):
+        # a gaussian loss has no cutoff: its singular-fit message names the
+        # data's columns only
+        def singular(C):
+            raise NotPositiveDefiniteError("minimum eigenvalue not positive")
+        monkeypatch.setattr(glasd.estimate, "check_correlation", singular)
+        _, Xs = make_clean_data(n=50)
+        with pytest.raises(NotPositiveDefiniteError, match="gaussian") as err:
+            estimate_correlation(Xs, LossSpec("gaussian"), config=OptimizerConfig(max_iters=5),
+                                 n_starts=1, master_seed=0)
+        assert "linearly dependent columns" in str(err.value)
+        assert "cutoff" not in str(err.value)
 
     def test_deterministic(self):
         _, Xs = make_clean_data(n=200, seed=3)

@@ -580,3 +580,16 @@ class TestRandomSearch:
         assert a.f_best == b.f_best
         assert a.evaluations == 200
         assert (np.diff(a.trace[:, 2]) <= 0).all()
+
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5, 3.0, math.inf, "3", None])
+    def test_budget_must_be_a_positive_integer(self, max_iters):
+        # the rule OptimizerConfig applies to its counts
+        calls = []
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            random_search_minimize(lambda x: calls.append(1) or 0.0, BoxDomain([0.0], [1.0]),
+                                   max_iters, seed=1)
+        assert not calls
+
+    def test_numpy_integer_budget_accepted(self):
+        rec = random_search_minimize(sphere, BoxDomain([0.0], [1.0]), np.int64(3), seed=1)
+        assert rec.evaluations == rec.iterations == 3

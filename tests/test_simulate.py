@@ -294,6 +294,11 @@ class TestSpecValidation:
                 losses=(LossSpec("gaussian"), LossSpec("gaussian")),
             )
 
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_no_more_rows_than_columns_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n = {n} must exceed p = 8"):
+            ScenarioSpec(StructureSpec("sparse-uniform", p=8), n=n)
+
     def test_bad_distribution(self):
         with pytest.raises(ValueError):
             ScenarioSpec(structure=StructureSpec("random-dense", p=4), n=30,
