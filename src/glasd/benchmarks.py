@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainMismatchError
-from .optimizer import BoxDomain
+from .optimizer import BoxDomain, _check_count
 
 
 # The reductions below are the ones np.mean, np.sum and np.prod perform
@@ -82,12 +82,8 @@ class BenchmarkSpec:
             raise ValueError(f"unknown benchmark {self.name!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "corr-manifold":
-            if self.dim < 2:
-                raise ValueError("matrix dimension must be >= 2")
-        elif self.dim < 1:
-            raise ValueError("box dimension must be >= 1")
-        elif self.name == "rosenbrock" and self.dim < 2:
+        _check_count("dim", self.dim, 2 if self.variant == "corr-manifold" else 1)
+        if self.variant == "box" and self.name == "rosenbrock" and self.dim < 2:
             # the box form sums over adjacent pairs, so at dimension 1 it is 0 everywhere
             raise ValueError("rosenbrock box dimension must be >= 2")
 

@@ -18,7 +18,8 @@ from .losses import (AngleObjective, LossSpec, _iqr_cutoff, _sq_dist, _values,
                      pilot_correlation, resolved_spec)
 from .manifold import (angles_to_corr, check_correlation, cholesky_rows, corr_to_angles,
                        default_angle_box)
-from .optimizer import OptimizerConfig, RunRecord, _resolve_seed, multi_start_minimize
+from .optimizer import (OptimizerConfig, RunRecord, _check_count, _resolve_seed,
+                        multi_start_minimize)
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ def estimate_correlation(
     (nearly) linearly dependent columns, leave the objective unbounded below
     toward singular matrices.
     """
+    _check_count("n_starts", n_starts)
+    master_seed = _resolve_seed(master_seed, "master_seed")
     X_std = _values(X_std)
     n, p = X_std.shape
     if n <= p:
@@ -62,8 +65,6 @@ def estimate_correlation(
     pilot = pilot_correlation(X_std)
     spec = resolved_spec(X_std, spec, pilot)
     warm = corr_to_angles(pilot)
-
-    master_seed = _resolve_seed(master_seed)
     records = multi_start_minimize(
         AngleObjective(X_std, spec), default_angle_box(p), config=config,
         n_starts=n_starts, master_seed=master_seed, x0_first=warm,

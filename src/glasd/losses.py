@@ -142,13 +142,7 @@ def _values(X) -> np.ndarray:
 
 def mahalanobis_sq_all(X, C) -> np.ndarray:
     """Squared Mahalanobis distance of every row of X under metric C."""
-    V = _values(X)
-    C = np.asarray(C, dtype=float)
-    if V.shape[1] != C.shape[0]:
-        raise DomainMismatchError(
-            f"data has {V.shape[1]} columns but the matrix is {C.shape[0]} x {C.shape[0]}"
-        )
-    return _sq_dist(V, _cholesky(C))
+    return _sq_dist(_values(X), _cholesky(C))
 
 
 def loss_gaussian(X, C) -> float:
@@ -260,6 +254,10 @@ def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _sq_dist(V: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of every row of V under the metric L L^T."""
+    if V.shape[1] != L.shape[0]:
+        raise DomainMismatchError(
+            f"data has {V.shape[1]} columns but the matrix is {L.shape[0]} x {L.shape[0]}"
+        )
     Y = _forward(L, V.T)
     return np.einsum("ij,ij->j", Y, Y)
 
@@ -293,8 +291,6 @@ def _loss_robust_from_factor(X, L: np.ndarray, spec: LossSpec) -> float:
     """
     thr = _loss_threshold(spec)
     V = _values(X)
-    if V.shape[1] != L.shape[0]:
-        raise DomainMismatchError("data width does not match matrix dimension")
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return _loss_value(V.shape[0], logdet, _sq_dist(V, L), spec.kind, thr)
 

@@ -38,16 +38,16 @@ import math
 import numpy as np
 
 from .errors import DomainMismatchError, NotPositiveDefiniteError
-from .optimizer import BoxDomain, OptimizerConfig, RunRecord, multi_start_minimize
+from .optimizer import BoxDomain, OptimizerConfig, RunRecord, _check_count, multi_start_minimize
 
 ANGLE_MARGIN = 1e-6        # closed-box margin keeping rows numerically full rank
 DEGENERATE_NORM = 1e-12    # below this prefix norm remaining angles are unidentified
 
 
 def angle_dim(M: int) -> int:
-    """Number of angles parameterizing an M x M correlation matrix."""
-    if M < 2:
-        raise ValueError("matrix dimension must be >= 2")
+    """Number of angles parameterizing an M x M correlation matrix, for an
+    integer M >= 2."""
+    _check_count("M", M, 2)
     return M * (M - 1) // 2
 
 
@@ -67,8 +67,7 @@ def _row_slice(m: int) -> slice:
 
 def default_angle_box(M: int) -> BoxDomain:
     """Compact per-angle bounds, in canonical (row 2, row 3, ...) order."""
-    if M < 2:
-        raise ValueError("matrix dimension must be >= 2")
+    _check_count("M", M, 2)
     d = ANGLE_MARGIN
     lo = [-math.pi / 2 + d]
     hi = [math.pi / 2 - d]
@@ -145,8 +144,7 @@ def corr_to_angles(C: np.ndarray) -> np.ndarray:
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise DomainMismatchError("correlation matrix must be square")
     M = C.shape[0]
-    if M < 2:
-        raise ValueError("matrix dimension must be >= 2")
+    _check_count("M", M, 2)
     L = _cholesky(C)
 
     box = default_angle_box(M)

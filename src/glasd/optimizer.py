@@ -80,12 +80,12 @@ class BoxDomain:
         return rng.uniform(self.lower, self.upper)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1.  The search loop
-    compares and indexes with its counts, so a float would never stop a run
-    or would fail it midway."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1")
+def _check_count(name: str, value, low: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low``: the one rule
+    for every count, size and seed the API takes.  A float, even 3.0, would
+    never stop a run, would fail it midway or would give a wrong size."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ class OptimizerConfig:
         for name in ("s_inc", "s_dec", "p_inc", "p_dec"):
             if not 1 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 1")
-        if not self.m >= 1:
-            raise ValueError("m must be >= 1")
+        _check_count("m", self.m)
         if self.c is not None and not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
         if self.r is not None and not 0 < self.r < math.inf:
@@ -250,11 +249,12 @@ class _DirectionWeights:
         return np.array(self.tree[self.size:self.size + self.k])
 
 
-def _resolve_seed(seed: int | None) -> int:
-    """The seed rule: the given ``seed``, else a fresh one."""
-    if seed is not None:
-        return seed
-    return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
+def _resolve_seed(seed: int | None, name: str = "seed") -> int:
+    """The seed rule: the given ``seed``, an integer >= 0, else a fresh one."""
+    if seed is None:
+        return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0])
+    _check_count(name, seed, 0)
+    return seed
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
@@ -465,9 +465,8 @@ def multi_start_minimize(
     start from a uniform draw under their own seed, and runs as in
     :func:`glasd_minimize`.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    seeds = derive_seeds(_resolve_seed(master_seed), n_starts)
+    _check_count("n_starts", n_starts)
+    seeds = derive_seeds(_resolve_seed(master_seed, "master_seed"), n_starts)
     return [_drive(Search(domain, x0_first if k == 0 else None, config, run_seed), f)
             for k, run_seed in enumerate(seeds)]
 
@@ -475,23 +474,30 @@ def multi_start_minimize(
 def random_search_minimize(
     f, domain: BoxDomain, max_iters: int, seed: int | None = None,
 ) -> RunRecord:
-    """Uniform random search baseline; same record format as the main solver.
-    ``max_iters`` is an integer >= 1, as in :class:`OptimizerConfig`."""
+    """Uniform random search baseline: ``max_iters`` uniform draws from the
+    box under ``seed``, else a fresh seed; ``max_iters`` is an integer >= 1,
+    as in :class:`OptimizerConfig`.
+
+    The record reads as the main solver's does: the first draw is the start,
+    row 0 of the trace, and each later draw is one iteration, so row t is
+    ``(t, t + 1, f_best)`` and ``evaluations == iterations + 1 == max_iters``.
+    ``nonfinite`` counts the NaN and +-inf values ``f`` returned.
+    """
     _check_count("max_iters", max_iters)
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
-    f_best = math.inf
-    x_best = None
-    trace_rows = []
-    for t in range(1, max_iters + 1):
+    f_best, x_best, nonfinite = math.inf, None, 0
+    best = []
+    for _ in range(max_iters):
         x = domain.sample(rng)
         fx = float(f(x))
+        nonfinite += not math.isfinite(fx)
         if fx < f_best:
-            f_best = fx
-            x_best = x
-        trace_rows.append((t, t, f_best))
+            f_best, x_best = fx, x
+        best.append(f_best)
+    t = np.arange(max_iters, dtype=float)
     return RunRecord(
-        x_best=x_best, f_best=f_best, evaluations=max_iters, iterations=max_iters,
+        x_best=x_best, f_best=f_best, evaluations=max_iters, iterations=max_iters - 1,
         termination="max-iterations", seed=seed,
-        trace=np.asarray(trace_rows, dtype=float),
+        trace=np.column_stack([t, t + 1, best]), nonfinite=nonfinite,
     )

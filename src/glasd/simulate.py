@@ -26,7 +26,7 @@ from .errors import DomainMismatchError
 from .estimate import estimate_correlation
 from .losses import LossSpec, shrink_to_pd, standardize_columns
 from .manifold import _cholesky, angles_to_corr, default_angle_box
-from .optimizer import OptimizerConfig, derive_seeds
+from .optimizer import OptimizerConfig, _check_count, derive_seeds
 
 STRUCTURE_KINDS = ("random-dense", "sparse-uniform", "block-toeplitz")
 CONTAMINATION_KINDS = ("none", "rows", "columns", "random")
@@ -57,8 +57,7 @@ class StructureSpec:
     def __post_init__(self):
         if self.kind not in STRUCTURE_KINDS:
             raise ValueError(f"unknown structure kind {self.kind!r}")
-        if self.p < 2:
-            raise ValueError("p must be >= 2")
+        _check_count("p", self.p, 2)
         if not 0.0 <= self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in [0, 1]")
         lo, hi = self.value_range
@@ -115,7 +114,11 @@ class ContaminationSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One simulation cell."""
+    """One simulation cell.
+
+    ``n``, ``replicates`` and ``n_starts`` are integers >= 1, ``n`` above p,
+    and ``master_seed`` is an integer >= 0.
+    """
 
     structure: StructureSpec
     n: int
@@ -138,13 +141,12 @@ class ScenarioSpec:
             raise ValueError("distribution must be 'gaussian' or 't'")
         if not 1.0 <= self.df < math.inf:
             raise ValueError("df must be finite and >= 1")
-        if self.replicates < 1 or self.n_starts < 1:
-            raise ValueError("replicates and n_starts must be >= 1")
+        for name in ("n", "replicates", "n_starts"):
+            _check_count(name, getattr(self, name))
         if self.n <= self.p:
             raise ValueError(f"n = {self.n} must exceed p = {self.p}: with n <= p the "
                              "data are singular")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+        _check_count("master_seed", self.master_seed, 0)
         kinds = [ls.kind for ls in self.losses]
         if not kinds:
             raise ValueError("a scenario needs at least one loss")

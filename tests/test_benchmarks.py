@@ -184,6 +184,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BenchmarkSpec("nope", "box", dim=3)
 
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant 'sphere'"):
+            BenchmarkSpec("ackley", "sphere", dim=3)
+
+    def test_corr_objective_needs_the_manifold_variant(self):
+        with pytest.raises(ValueError, match="not a corr-manifold benchmark"):
+            corr_objective(BenchmarkSpec("ackley", "box", dim=3))
+
     def test_box_rosenbrock_needs_two_dimensions(self):
         # a sum over adjacent pairs: constant at dimension 1
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ from glasd.losses import (
     standardize_columns,
 )
 from glasd.estimate import estimate_correlation
-from glasd.manifold import cholesky_rows, corr_to_angles, default_angle_box
+from glasd.manifold import check_correlation, cholesky_rows, corr_to_angles, default_angle_box
 
 TWO = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -62,6 +62,15 @@ class TestMahalanobis:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainMismatchError):
             mahalanobis_sq_all(np.ones((3, 3)), np.eye(2))
+
+    @pytest.mark.parametrize("call", [
+        mahalanobis_sq_all,
+        lambda X, C: loss_robust(X, C, LossSpec("huber", "iqr-auto")),
+    ], ids=["mahalanobis_sq_all", "loss_robust"])
+    def test_one_data_width_rule(self, call):
+        with pytest.raises(DomainMismatchError,
+                           match="data has 3 columns but the matrix is 2 x 2"):
+            call(np.ones((5, 3)), TWO)
 
     def test_matches_explicit_inverse_on_fuzz(self):
         rng = np.random.default_rng(0)
@@ -177,6 +186,7 @@ class TestRobustLoss:
         {"kind": "gaussian", "threshold": math.inf},
         {"kind": "gaussian", "threshold": -1.0},
         {"kind": "gaussian", "threshold": "iqr"},
+        {"threshold": "median"},
     ])
     def test_spec_numbers_checked(self, kwargs):
         # a threshold must be a positive finite number or a policy
@@ -548,6 +558,16 @@ class TestOutlierReport:
         assert set(counts) == {"alpha", "beta"}
 
 
+class TestDataMatrix:
+    @pytest.mark.parametrize("values, names, match", [
+        (np.ones((1, 3)), None, "at least 2 rows"),
+        (np.eye(3), ["a", "b"], "column_names length"),
+    ], ids=["one-row", "names-length"])
+    def test_shape_checked(self, values, names, match):
+        with pytest.raises(MalformedDataError, match=match):
+            DataMatrix(values, column_names=names)
+
+
 class TestStandardize:
     def test_zero_mean_unit_sd(self):
         rng = np.random.default_rng(12)
@@ -611,7 +631,9 @@ class TestBadMatrix:
     @pytest.mark.parametrize("call", [
         lambda C: loss_robust(np.ones((5, 3)), C, LossSpec("gaussian")),
         lambda C: mahalanobis_sq_all(np.ones((5, 3)), C),
-    ], ids=["loss_robust", "mahalanobis_sq_all"])
+        corr_to_angles,
+        check_correlation,
+    ], ids=["loss_robust", "mahalanobis_sq_all", "corr_to_angles", "check_correlation"])
     def test_not_square(self, call):
         with pytest.raises(DomainMismatchError, match="square"):
             call(np.eye(3, 4))

@@ -79,10 +79,10 @@ class TestOptimizerConfig:
         assert OptimizerConfig().r is None
 
     @pytest.mark.parametrize("value", [2.5, 3.0, math.inf, "3"])
-    @pytest.mark.parametrize("name", ["max_iters", "stagnation_window"])
+    @pytest.mark.parametrize("name", ["m", "max_iters", "stagnation_window"])
     def test_counts_must_be_integers(self, name, value):
         # a float max_iters never ends the loop; a float window fails mid-run
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
             OptimizerConfig(**{name: value})
 
     def test_numpy_integer_counts_accepted(self):
@@ -108,6 +108,10 @@ class TestAcceptanceProb:
         q = acceptance_prob(10**6, 5, 0.001 * math.log(10))
         assert abs(q - 0.00083333327301468986) < 1e-12
         assert abs(q - 8.33e-4) < 1e-5
+
+    def test_iterations_start_at_one(self):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            acceptance_prob(0, 5, 0.01)
 
     def test_nonincreasing_and_cap(self):
         m, c = 5, 0.01
@@ -592,4 +596,15 @@ class TestRandomSearch:
 
     def test_numpy_integer_budget_accepted(self):
         rec = random_search_minimize(sphere, BoxDomain([0.0], [1.0]), np.int64(3), seed=1)
-        assert rec.evaluations == rec.iterations == 3
+        assert rec.evaluations == 3 and rec.iterations == 2
+
+    def test_record_reads_like_the_solver_record(self):
+        # the first draw is the start, row 0; row t is (t, t + 1, best so far)
+        values = iter([2.0, math.nan, 3.0, 1.0, math.inf, -1.0])
+        rec = random_search_minimize(lambda x: next(values), BoxDomain([0.0], [1.0]), 6,
+                                     seed=1)
+        assert rec.evaluations == rec.iterations + 1 == 6
+        assert rec.trace.tolist() == [[0.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 3.0, 2.0],
+                                      [3.0, 4.0, 1.0], [4.0, 5.0, 1.0], [5.0, 6.0, -1.0]]
+        assert rec.f_best == -1.0 and rec.nonfinite == 2
+        assert rec.termination == "max-iterations" and rec.seed == 1

@@ -108,6 +108,10 @@ class TestSampleData:
         with pytest.raises(NotPositiveDefiniteError):
             sample_data(C, 10, "gaussian", np.random.default_rng(0))
 
+    def test_unknown_distribution(self):
+        with pytest.raises(ValueError, match="distribution must be"):
+            sample_data(np.eye(2), 10, "cauchy", np.random.default_rng(0))
+
     def test_deterministic(self):
         a = sample_data(np.eye(2), 50, "t", np.random.default_rng(8), df=3.0)
         b = sample_data(np.eye(2), 50, "t", np.random.default_rng(8), df=3.0)
@@ -282,9 +286,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             StructureSpec("block-toeplitz", p=8, block_decays=(0.5, 1.2, 0.4))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"kind": "sparse-uniform", "sparsity": 1.5}, "sparsity"),
+        ({"kind": "sparse-uniform", "value_range": (0.3, 0.1)}, "value_range"),
+        ({"kind": "block-toeplitz", "block_decays": (0.5, 0.4)}, "one decay per block"),
+    ], ids=["sparsity", "value-range", "decay-count"])
+    def test_structure_numbers_checked(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            StructureSpec(p=8, **kwargs)
+
     def test_contamination_fraction_range(self):
         with pytest.raises(ValueError):
             ContaminationSpec("rows", fraction=1.5)
+
+    def test_entry_fraction_range(self):
+        with pytest.raises(ValueError, match="entry_fraction"):
+            ContaminationSpec("rows", entry_fraction=(0.7, 0.3))
 
     def test_duplicate_losses_rejected(self):
         with pytest.raises(ValueError):
