@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import typing
-from dataclasses import fields
 
 import numpy as np
 
@@ -108,16 +107,41 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
+def _list_of(item, count=None):
+    """Schema type: a comma-separated list of ``item`` values, as a tuple;
+    exactly ``count`` of them when ``count`` is given."""
+    def parse(raw):
+        values = tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+        if count is not None and len(values) != count:
+            raise ValueError(f"{count} values needed, {len(values)} given")
+        return values
+    return parse
+
+
 def _field_types(cls) -> dict:
-    """Field name -> type of a dataclass, with ``None`` dropped from each union."""
+    """Field name -> INI type of a dataclass: ``None`` dropped from each
+    union, and a ``tuple[...]`` read by :func:`_list_of`, fixed-length unless
+    it ends in ``...``."""
     out = {}
     for name, hint in typing.get_type_hints(cls).items():
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        out[name] = args[0] if args else hint
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            out[name] = _list_of(args[0], None if args[-1] is Ellipsis else len(args))
+        else:
+            out[name] = next((a for a in args if a is not type(None)), hint)
     return out
 
 
 _OPTIMIZER_KEYS = _field_types(OptimizerConfig)
+_STRUCTURE_KEYS = _field_types(StructureSpec)
+_CONTAMINATION_KEYS = _field_types(ContaminationSpec)
+# [scenario] holds the ScenarioSpec fields that are not nested specs, the
+# structure's p, and the losses as kind names under one threshold policy
+_SCENARIO_KEYS = {
+    **{name: typ for name, typ in _field_types(ScenarioSpec).items()
+       if name not in ("structure", "contamination", "optimizer")},
+    "p": _STRUCTURE_KEYS.pop("p"), "losses": _list_of(str), "threshold": str,
+}
 
 
 def _parse_section(section, schema, where):
@@ -155,41 +179,14 @@ def optimizer_config_from(overrides: dict) -> OptimizerConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _list_of(item):
-    """Schema type: a comma-separated list of ``item`` values, as a tuple."""
-    return lambda raw: tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
-
-
-_SCENARIO_KEYS = {
-    "p": int, "n": int, "replicates": int, "n_starts": int,
-    "master_seed": int, "distribution": str, "df": float,
-    "losses": _list_of(str), "threshold": str,
-}
-_STRUCTURE_KEYS = {
-    "kind": str, "sparsity": float, "value_low": float, "value_high": float,
-    "block_fractions": _list_of(float), "block_decays": _list_of(float),
-}
-_CONTAMINATION_KEYS = {
-    "kind": str, "fraction": float,
-    "entry_fraction_low": float, "entry_fraction_high": float, "shift": float,
-}
-
-
-def _fold_range(kwargs: dict, cls, name: str, prefix: str) -> None:
-    """Fold the keys ``<prefix>_low``/``<prefix>_high`` into the tuple field
-    ``name`` of ``cls``; an unset bound keeps the field's default."""
-    keys = (f"{prefix}_low", f"{prefix}_high")
-    if any(key in kwargs for key in keys):
-        default = next(f.default for f in fields(cls) if f.name == name)
-        kwargs[name] = tuple(kwargs.pop(key, bound) for key, bound in zip(keys, default))
-
-
 def load_scenario_config(path) -> ScenarioSpec:
     """Build a ScenarioSpec from an INI file; unknown keys or values fail.
 
-    Only the keys the file sets are passed on, so every other field keeps the
-    default of its dataclass.  The losses default to every loss kind, each
-    under the ``threshold`` policy (``iqr`` by default).
+    Each key is the spec field it sets, a tuple field read as a
+    comma-separated list, and ``p`` sits in [scenario].  Only the keys the
+    file sets are passed on, so every other field keeps the default of its
+    dataclass.  The losses default to every loss kind, each under the
+    ``threshold`` policy (``iqr`` by default).
     """
     parser = _read_ini(path)
     unknown = set(parser.sections()) - {"scenario", "structure", "contamination", "optimizer"}
@@ -208,8 +205,6 @@ def load_scenario_config(path) -> ScenarioSpec:
     if "p" not in sc or "n" not in sc:
         raise ConfigError("scenario section needs 'p' and 'n'")
 
-    _fold_range(st, StructureSpec, "value_range", "value")
-    _fold_range(co, ContaminationSpec, "entry_fraction", "entry_fraction")
     threshold = sc.pop("threshold", "iqr")
     losses = tuple(make_loss_spec(kind, threshold) for kind in sc.pop("losses", LOSS_KINDS))
     try:

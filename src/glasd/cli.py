@@ -123,15 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    overrides = {}
-    if args.config:
-        overrides.update(load_optimizer_overrides(args.config))
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if args.stagnation_window is not None:
-        overrides["stagnation_window"] = args.stagnation_window
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
+    """The --config file's [optimizer] overrides with the set flags laid over them."""
+    overrides = load_optimizer_overrides(args.config) if args.config else {}
+    flags = ("max_iters", "stagnation_window", "epsilon")
+    overrides.update((key, getattr(args, key)) for key in flags if getattr(args, key) is not None)
     return optimizer_config_from(overrides)
 
 

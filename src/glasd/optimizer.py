@@ -83,8 +83,10 @@ class BoxDomain:
 def _check_count(name: str, value, low: int = 1) -> None:
     """Raise ValueError unless ``value`` is an integer >= ``low``: the one rule
     for every count, size and seed the API takes.  A float, even 3.0, would
-    never stop a run, would fail it midway or would give a wrong size."""
-    if not (isinstance(value, (int, np.integer)) and value >= low):
+    never stop a run, would fail it midway or would give a wrong size; a
+    bool, Python's or numpy's, is not a count."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}")
 
 
@@ -409,16 +411,22 @@ class Search:
         )
 
 
+def _evaluate(f, x, *args) -> float:
+    """``float(f(x, *args))``; an exception there is raised as
+    ObjectiveEvaluationError carrying the point ``x``."""
+    try:
+        return float(f(x, *args))
+    except Exception as exc:
+        raise ObjectiveEvaluationError(f"objective evaluation failed at {x!r}",
+                                       point=x) from exc
+
+
 def _drive(search: Search, f) -> RunRecord:
     """Run ``search`` to its end on ``f``, as :func:`glasd_minimize` describes."""
     move, accept = getattr(f, "move", None), getattr(f, "accept", None)
     while not search.done:
         x, i = search.ask(), search.moved
-        try:
-            value = float(f(x) if i is None or move is None else move(x, i))
-        except Exception as exc:
-            raise ObjectiveEvaluationError(f"objective evaluation failed at {x!r}",
-                                           point=x) from exc
+        value = _evaluate(f, x) if i is None or move is None else _evaluate(move, x, i)
         if search.tell(value) and i is not None and accept is not None:
             accept()
     return search.record()
@@ -474,30 +482,31 @@ def multi_start_minimize(
 def random_search_minimize(
     f, domain: BoxDomain, max_iters: int, seed: int | None = None,
 ) -> RunRecord:
-    """Uniform random search baseline: ``max_iters`` uniform draws from the
-    box under ``seed``, else a fresh seed; ``max_iters`` is an integer >= 1,
-    as in :class:`OptimizerConfig`.
+    """Uniform random search baseline: a start, then ``max_iters`` iterations,
+    each one uniform draw from the box under ``seed``, else a fresh seed;
+    ``max_iters`` is an integer >= 1, as in :class:`OptimizerConfig`.
 
-    The record reads as the main solver's does: the first draw is the start,
-    row 0 of the trace, and each later draw is one iteration, so row t is
-    ``(t, t + 1, f_best)`` and ``evaluations == iterations + 1 == max_iters``.
-    ``nonfinite`` counts the NaN and +-inf values ``f`` returned.
+    The record reads as the main solver's does when it redraws no start: row
+    t of the trace is ``(t, t + 1, f_best)``, ``iterations == max_iters`` and
+    ``evaluations == max_iters + 1``.  ``nonfinite`` counts the NaN and +-inf
+    values ``f`` returned, and an exception in ``f`` is raised as
+    ObjectiveEvaluationError carrying the point.
     """
     _check_count("max_iters", max_iters)
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     f_best, x_best, nonfinite = math.inf, None, 0
     best = []
-    for _ in range(max_iters):
+    for _ in range(max_iters + 1):
         x = domain.sample(rng)
-        fx = float(f(x))
+        fx = _evaluate(f, x)
         nonfinite += not math.isfinite(fx)
         if fx < f_best:
             f_best, x_best = fx, x
         best.append(f_best)
-    t = np.arange(max_iters, dtype=float)
+    t = np.arange(max_iters + 1, dtype=float)
     return RunRecord(
-        x_best=x_best, f_best=f_best, evaluations=max_iters, iterations=max_iters - 1,
+        x_best=x_best, f_best=f_best, evaluations=max_iters + 1, iterations=max_iters,
         termination="max-iterations", seed=seed,
         trace=np.column_stack([t, t + 1, best]), nonfinite=nonfinite,
     )

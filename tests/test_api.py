@@ -93,7 +93,8 @@ INTEGER_INPUTS = {
 
 def bad_values(entry):
     _, low, none_is_default, _ = INTEGER_INPUTS[entry]
-    return [2.5, 3.0, "3", low - 1] + ([] if none_is_default else [None])
+    return ([2.5, 3.0, "3", low - 1, True] + ([False] if low == 0 else [])
+            + ([] if none_is_default else [None]))
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glasd.artifacts import (
+    _CONTAMINATION_KEYS,
     _OPTIMIZER_KEYS,
+    _SCENARIO_KEYS,
+    _STRUCTURE_KEYS,
     fmt,
     load_optimizer_overrides,
     load_scenario_config,
@@ -20,7 +23,7 @@ from glasd.artifacts import (
 from glasd.errors import ConfigError, MalformedDataError
 from glasd.losses import read_data_csv
 from glasd.optimizer import OptimizerConfig
-from glasd.simulate import STRUCTURE_KINDS, ScenarioSpec, StructureSpec
+from glasd.simulate import STRUCTURE_KINDS, ContaminationSpec, ScenarioSpec, StructureSpec
 
 
 class TestMatrixCsv:
@@ -179,24 +182,21 @@ class TestScenarioConfig:
         path.write_text(self.MINIMAL.format(kind=kind))
         assert load_scenario_config(path) == ScenarioSpec(StructureSpec(kind, p=6), n=30)
 
-    @pytest.mark.parametrize("section, key, value, name, index", [
-        ("structure", "value_low", 0.05, "value_range", 0),
-        ("structure", "value_high", 0.5, "value_range", 1),
-        ("contamination", "entry_fraction_low", 0.1, "entry_fraction", 0),
-        ("contamination", "entry_fraction_high", 0.9, "entry_fraction", 1),
-    ])
-    def test_one_bound_keeps_the_other_default(self, tmp_path, section, key, value,
-                                               name, index):
-        text = self.MINIMAL.format(kind="sparse-uniform")
-        if section == "contamination":
-            text += "[contamination]\n"
+    def test_ranges_are_comma_separated_pairs(self, tmp_path):
         path = tmp_path / "s.ini"
-        path.write_text(text + f"{key} = {value}\n")
-        default = getattr(ScenarioSpec(StructureSpec("sparse-uniform", p=6), n=30), section)
-        bounds = list(getattr(default, name))
-        bounds[index] = value
-        expected = replace(default, **{name: tuple(bounds)})
-        assert getattr(load_scenario_config(path), section) == expected
+        path.write_text(SCENARIO_INI
+                        .replace("sparsity = 0.9", "sparsity = 0.9\nvalue_range = 0.2, 0.4")
+                        .replace("fraction = 0.1", "fraction = 0.1\nentry_fraction = 0.1, 0.9"))
+        spec = load_scenario_config(path)
+        assert spec.structure.value_range == (0.2, 0.4)
+        assert spec.contamination.entry_fraction == (0.1, 0.9)
+
+    def test_keys_are_the_spec_fields(self):
+        # p sets the structure but sits in [scenario]; no nested spec is a key
+        assert set(_STRUCTURE_KEYS) == {f.name for f in fields(StructureSpec)} - {"p"}
+        assert set(_CONTAMINATION_KEYS) == {f.name for f in fields(ContaminationSpec)}
+        assert set(_SCENARIO_KEYS) == {"p", "n", "distribution", "df", "losses", "replicates",
+                                       "n_starts", "master_seed", "threshold"}
 
 
 class TestOptimizerOverrides:

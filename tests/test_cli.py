@@ -432,6 +432,25 @@ class TestSimulateCommand:
         assert f"n = {n} must exceed p = 5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("kind = sparse-uniform", "value_range = 0.1", "structure.value_range"),
+        ("kind = sparse-uniform", "value_range = 0.1, 0.2, 0.3", "structure.value_range"),
+        ("kind = sparse-uniform", "value_low = 0.1", "unknown key 'value_low'"),
+        ("kind = rows", "entry_fraction_high = 0.9", "unknown key 'entry_fraction_high'"),
+        # a table derived from the specs lets neither p nor a nested spec into
+        # the wrong section
+        ("kind = sparse-uniform", "p = 5", "unknown key 'p'"),
+        ("n = 60", "structure = x", "unknown key 'structure'"),
+    ], ids=["one-bound", "three-bounds", "value_low", "entry_fraction_high", "p-in-structure",
+            "structure-in-scenario"])
+    def test_bad_key_exit_2_before_output(self, tmp_path, capsys, old, new, match):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(SCENARIO_INI.replace(old, f"{old}\n{new}"))
+        out = tmp_path / "r"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_df_exit_2_before_output(self, tmp_path):
         cfg = tmp_path / "s.ini"
         cfg.write_text(SCENARIO_INI.replace("n = 60", "n = 60\ndistribution = t\ndf = nan"))

@@ -168,14 +168,17 @@ class TestGlasd:
         with pytest.raises(ValueError):
             glasd_minimize(sphere, BoxDomain([0.0], [1.0]), x0=[2.0])
 
-    def test_objective_failure_carries_point(self):
-        def bad(x):
-            raise RuntimeError("boom")
-
+    @pytest.mark.parametrize("solve", [
+        lambda f, dom: glasd_minimize(f, dom, seed=1),
+        lambda f, dom: multi_start_minimize(f, dom, n_starts=2, master_seed=1),
+        lambda f, dom: random_search_minimize(f, dom, 3, seed=1),
+    ], ids=["glasd_minimize", "multi_start_minimize", "random_search_minimize"])
+    def test_objective_failure_carries_point(self, solve):
+        dom = BoxDomain([0.0], [1.0])
         with pytest.raises(ObjectiveEvaluationError) as err:
-            glasd_minimize(bad, BoxDomain([0.0], [1.0]), x0=[0.5],
-                           seed=0)
-        assert err.value.point is not None
+            solve(lambda x: 1 / 0, dom)
+        assert dom.contains(err.value.point)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
 
     def test_nonfinite_proposals_are_rejected(self):
         # NaN where x[1] > 2, -inf where x[2] < -4, and the finite part pulls
@@ -582,7 +585,7 @@ class TestRandomSearch:
         a = random_search_minimize(sphere, dom, 200, seed=6)
         b = random_search_minimize(sphere, dom, 200, seed=6)
         assert a.f_best == b.f_best
-        assert a.evaluations == 200
+        assert a.evaluations == 201
         assert (np.diff(a.trace[:, 2]) <= 0).all()
 
     @pytest.mark.parametrize("max_iters", [0, -3, 2.5, 3.0, math.inf, "3", None])
@@ -596,15 +599,26 @@ class TestRandomSearch:
 
     def test_numpy_integer_budget_accepted(self):
         rec = random_search_minimize(sphere, BoxDomain([0.0], [1.0]), np.int64(3), seed=1)
-        assert rec.evaluations == 3 and rec.iterations == 2
+        assert rec.evaluations == 4 and rec.iterations == 3
 
     def test_record_reads_like_the_solver_record(self):
         # the first draw is the start, row 0; row t is (t, t + 1, best so far)
         values = iter([2.0, math.nan, 3.0, 1.0, math.inf, -1.0])
-        rec = random_search_minimize(lambda x: next(values), BoxDomain([0.0], [1.0]), 6,
+        rec = random_search_minimize(lambda x: next(values), BoxDomain([0.0], [1.0]), 5,
                                      seed=1)
         assert rec.evaluations == rec.iterations + 1 == 6
         assert rec.trace.tolist() == [[0.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 3.0, 2.0],
                                       [3.0, 4.0, 1.0], [4.0, 5.0, 1.0], [5.0, 6.0, -1.0]]
         assert rec.f_best == -1.0 and rec.nonfinite == 2
         assert rec.termination == "max-iterations" and rec.seed == 1
+
+    def test_budget_is_the_solver_budget(self):
+        # a start, then max_iters iterations, as GLASD spends when it runs to
+        # max_iters (epsilon = 0) and redraws no start
+        dom = BoxDomain(np.full(3, -1.0), np.full(3, 1.0))
+        solver = glasd_minimize(sphere, dom, config=OptimizerConfig(max_iters=50, epsilon=0.0),
+                                seed=1)
+        baseline = random_search_minimize(sphere, dom, 50, seed=1)
+        assert baseline.evaluations == solver.evaluations == 51
+        assert baseline.iterations == solver.iterations == 50
+        assert baseline.trace[:, :2].tolist() == solver.trace[:, :2].tolist()
