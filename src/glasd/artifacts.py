@@ -79,8 +79,9 @@ def write_json(path, record: dict) -> None:
 def ensure_outdir(out, record_name: str, force: bool) -> str:
     """Refuse to clobber an existing run record; return ``out``.
 
-    Creates nothing: a command checks before its work and creates the
-    directory only once it has results to write, so a failed run leaves none.
+    Creates nothing: the CLI checks before a command's work, and the command
+    creates the directory only once it has results to write, so a failed
+    run leaves none.
     """
     record_path = os.path.join(out, record_name)
     if os.path.exists(record_path) and not force:
@@ -109,9 +110,13 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 def _list_of(item, count=None):
     """Schema type: a comma-separated list of ``item`` values, as a tuple;
-    exactly ``count`` of them when ``count`` is given."""
+    exactly ``count`` of them when ``count`` is given.  A blank value is the
+    empty list, and an empty item inside a list is an error."""
     def parse(raw):
-        values = tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+        tokens = [tok.strip() for tok in raw.split(",")] if raw.strip() else []
+        if "" in tokens:
+            raise ValueError("empty item in list")
+        values = tuple(map(item, tokens))
         if count is not None and len(values) != count:
             raise ValueError(f"{count} values needed, {len(values)} given")
         return values

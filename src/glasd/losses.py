@@ -100,9 +100,10 @@ class DataMatrix:
 class LossSpec:
     """Loss family plus its threshold: a number on the d^2 scale or a policy.
 
-    A numeric threshold must be positive and finite.  A gaussian spec checks
-    a given threshold as any other kind does, then stores None: the gaussian
-    loss has no threshold.
+    A numeric threshold must be positive and finite; a bool, Python's or
+    numpy's, is not a number here.  A gaussian spec checks a given threshold
+    as any other kind does, then stores None: the gaussian loss has no
+    threshold.
     """
 
     kind: str = "gaussian"
@@ -122,7 +123,7 @@ class LossSpec:
                 raise ValueError(
                     f"threshold must be a positive number or one of {THRESHOLD_POLICIES}"
                 )
-        elif not 0 < self.threshold < math.inf:
+        elif isinstance(self.threshold, (bool, np.bool_)) or not 0 < self.threshold < math.inf:
             raise ValueError("fixed threshold must be positive and finite")
         if self.kind == "gaussian":
             object.__setattr__(self, "threshold", None)

@@ -98,7 +98,8 @@ class OptimizerConfig:
     and ``stagnation_window = 4n``, with ``ln(max(n, 2))`` replacing ``ln(n)``
     so one-dimensional problems keep a positive temperature and budget.  The
     2n direction weights always start equal.  Every number must be finite,
-    and ``max_iters`` and ``stagnation_window`` are integers.
+    ``max_iters`` and ``stagnation_window`` are integers, and
+    ``explore_enabled`` is a bool, Python's or numpy's.
     ``r`` is the exploration radius: ``None`` draws each exploration step up
     to the bound it faces, a positive ``r`` draws it up to ``r``.
     """
@@ -133,6 +134,8 @@ class OptimizerConfig:
                 _check_count(name, getattr(self, name))
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be nonnegative and finite")
+        if not isinstance(self.explore_enabled, (bool, np.bool_)):
+            raise ValueError("explore_enabled must be a bool")
 
     def resolved(self, n: int) -> "OptimizerConfig":
         """Copy with every dimension-dependent default filled in for dimension n."""

@@ -61,15 +61,6 @@ class TestOptimizeCommand:
         assert code == 0
         assert not (out / "best_matrix.csv").exists()
 
-    def test_refuses_overwrite_without_force(self, tmp_path):
-        out = tmp_path / "run"
-        args = ["optimize", "--fn", "ackley", "--variant", "corr", "--M", "3",
-                "--starts", "1", "--seed", "1", "--out", str(out),
-                "--max-iters", "50"]
-        assert main(args) == 0
-        assert main(args) == 2
-        assert main(args + ["--force"]) == 0
-
     def test_bad_arguments_exit_2(self, tmp_path):
         assert main(["optimize", "--fn", "nope"]) == 2
 
@@ -360,6 +351,45 @@ def test_malformed_ini_exit_2_before_output(tmp_path, capsys, command, how):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, record", [
+    ("optimize", "result.json"), ("benchmark", "benchmark.json"), ("estimate", "run.json"),
+    ("simulate", "scenario.json"), ("outlier-report", "run.json"),
+])
+def test_refuses_overwrite_without_force(tmp_path, capsys, command, record):
+    data = tmp_path / "d.csv"
+    write_clean_csv(data, n=50)
+    cfg = tmp_path / "s.ini"
+    cfg.write_text(SCENARIO_INI)
+    search = ["--seed", "1", "--starts", "1", "--max-iters", "20"]
+    out = tmp_path / "run"
+    argv = {
+        "optimize": ["optimize", "--fn", "ackley", "--M", "3"] + search,
+        "benchmark": ["benchmark", "--fn", "ackley", "--M", "3"] + search,
+        "estimate": ["estimate", str(data)] + search,
+        "simulate": ["simulate", str(cfg)],
+        "outlier-report": ["outlier-report", str(data)],
+    }[command] + ["--out", str(out)]
+    assert main(argv) == 0
+    path = out / record
+    path.write_text("stale\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(argv) == 2
+    assert "already exists; pass --force" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(argv + ["--force"]) == 0
+    assert json.loads(path.read_text())["command"] == command
+
+
+@pytest.mark.parametrize("command", ["estimate", "outlier-report"])
+def test_record_checked_before_input_is_read(tmp_path, capsys, command):
+    # an existing record stops the run before the missing CSV is opened
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "run.json").write_text("stale\n")
+    assert main([command, str(tmp_path / "nope.csv"), "--out", str(out)]) == 2
+    assert "already exists" in capsys.readouterr().err
+
+
 class TestConfigSeed:
     def test_optimizer_seed_rejected(self, tmp_path, capsys):
         # the search seeds derive from the master seed alone, so seed is no
@@ -441,8 +471,12 @@ class TestSimulateCommand:
         # the wrong section
         ("kind = sparse-uniform", "p = 5", "unknown key 'p'"),
         ("n = 60", "structure = x", "unknown key 'structure'"),
+        # an empty item inside a list is an error, not skipped; the losses
+        # list goes on over an indented line that starts with its second comma
+        ("kind = sparse-uniform", "value_range = 0.2,, 0.4", "structure.value_range"),
+        ("losses = gaussian,", "    ,", "scenario.losses"),
     ], ids=["one-bound", "three-bounds", "value_low", "entry_fraction_high", "p-in-structure",
-            "structure-in-scenario"])
+            "structure-in-scenario", "empty-range-item", "empty-loss-item"])
     def test_bad_key_exit_2_before_output(self, tmp_path, capsys, old, new, match):
         cfg = tmp_path / "s.ini"
         cfg.write_text(SCENARIO_INI.replace(old, f"{old}\n{new}"))

@@ -187,6 +187,10 @@ class TestRobustLoss:
         {"kind": "gaussian", "threshold": -1.0},
         {"kind": "gaussian", "threshold": "iqr"},
         {"threshold": "median"},
+        # a bool is not a number of the d^2 scale
+        {"threshold": True},
+        {"threshold": np.True_},
+        {"kind": "gaussian", "threshold": True},
     ])
     def test_spec_numbers_checked(self, kwargs):
         # a threshold must be a positive finite number or a policy

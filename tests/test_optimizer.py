@@ -85,6 +85,18 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
             OptimizerConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_explore_enabled_must_be_a_bool(self, value):
+        # "false" is truthy, and 0 would be recorded as 0 rather than false
+        with pytest.raises(ValueError, match="^explore_enabled must be a bool$"):
+            OptimizerConfig(explore_enabled=value)
+
+    def test_numpy_bool_explore_enabled_accepted(self):
+        cfg = OptimizerConfig(max_iters=300, epsilon=0.0, explore_enabled=np.False_)
+        record = glasd_minimize(lambda x: float(x @ x), BoxDomain([-1.0] * 3, [1.0] * 3),
+                                config=cfg, seed=1)
+        assert record.iterations == 300 and record.explore == 0
+
     def test_numpy_integer_counts_accepted(self):
         cfg = OptimizerConfig(max_iters=np.int64(7), stagnation_window=np.int32(100),
                               epsilon=0.0)
